@@ -39,9 +39,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="override the per-unit capacity cost (default keeps the standard market)",
     )
-    parser.add_argument(
-        "--workers", type=int, default=1, help="thread count for instance evaluation"
-    )
     args = parser.parse_args(argv)
 
     out_dir = Path(args.out_dir)
@@ -58,7 +55,7 @@ def main(argv: list[str] | None = None) -> int:
             base_seed=args.seed,
             **overrides,
         )
-        points, means = run_sweep(spec, max_workers=args.workers)
+        points, means = run_sweep(spec)
         written = emit_results(
             points,
             means,

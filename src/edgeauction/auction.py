@@ -18,6 +18,7 @@ an exact scan over top-k prefixes and an exhaustive subset enumeration
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -50,9 +51,23 @@ __all__ = [
 # Positions (or roster ids) of the winners, in admission order.
 WinnerSet = tuple[int, ...]
 
-# Payments this close to zero from below are rounding residue and clamp to
-# zero; anything more negative indicates a bug and is refused loudly.
-_PAYMENT_TOLERANCE = 1e-9
+# Consistency checks allow rounding residue up to this fraction of the
+# magnitude of the terms compared (floored at 1): payments this close to
+# zero from below clamp to zero, anything more negative is refused loudly.
+_RELATIVE_TOLERANCE = 1e-9
+
+# Pricing evaluates counterfactual welfare in a band of columns around the
+# winner count m: from about m - _BAND_BEHIND (lower where _band_start cannot
+# prove the gains left of it positive) to m + _BAND_AHEAD.
+_BAND_BEHIND = 4
+_BAND_AHEAD = 3
+
+# A proven gain must exceed this multiple of the magnitude of its cells,
+# which bounds their rounding error many times over.
+_BOUND_MARGIN = 64 * np.finfo(float).eps
+
+# Cells per block of counterfactual rows: about 2 MB per temporary array.
+_CELL_BUDGET = 1 << 18
 
 _MAX_EXHAUSTIVE_BIDDERS = 20
 
@@ -96,7 +111,7 @@ def _validate_bids(bids: Sequence[float]) -> list[float]:
     out = []
     for b in bids:
         fb = float(b)
-        if not np.isfinite(fb):
+        if not math.isfinite(fb):
             raise ValueError("bids must be finite")
         if fb < 0:
             raise ValueError("bids must be >= 0")
@@ -117,24 +132,37 @@ def welfare_of_set(bids_in_w: Iterable[float], config: AuctionConfig) -> float:
     return (1.0 / k) * w * sum(bids) - config.market.unit_cost * k
 
 
-def _descending_order(bids: np.ndarray) -> np.ndarray:
-    # Stable sort keeps submission order among equal bids.
-    return np.argsort(-bids, kind="stable")
-
-
-def _prefix_welfare(prefix_sums: np.ndarray, limit: int, config: AuctionConfig) -> np.ndarray:
-    """Welfare of the top-k prefix for k = 1..limit, from cumulative bid sums."""
-    kk = np.arange(1, limit + 1, dtype=float)
-    u = np.exp(-config.network.nu * kk)
-    w = (1.0 - u) / (1.0 + config.network.mu * u)
-    return (w / kk) * prefix_sums[1 : limit + 1] - config.market.unit_cost * kk
-
-
 def _first_decrease_stop(welfare_by_k: np.ndarray) -> int:
     """Number of candidates admitted before welfare first fails to improve."""
     gains = np.diff(np.concatenate(([0.0], welfare_by_k)))
     blocked = np.flatnonzero(gains <= 0.0)
     return int(blocked[0]) if blocked.size else int(welfare_by_k.size)
+
+
+@dataclass(frozen=True)
+class _Clearing:
+    """Greedy clearing of one bid vector, shared by selection and pricing."""
+
+    order: np.ndarray         # positions into the bid vector, highest bid first
+    sorted_bids: np.ndarray   # the bids in that order
+    prefix: np.ndarray        # prefix[k]: sum of the k highest bids; prefix[0] = 0
+    coef: np.ndarray          # w(k) / k for k = 1..min(n, capacity)
+    welfare_by_k: np.ndarray  # welfare of the top-k prefix for the same k
+    m: int                    # winner count: the first-decrease stop
+
+
+def _clear(values: np.ndarray, config: AuctionConfig) -> _Clearing:
+    # Stable sort keeps submission order among equal bids.
+    order = np.argsort(-values, kind="stable")
+    sorted_bids = values[order]
+    prefix = np.concatenate(([0.0], np.cumsum(sorted_bids)))
+    limit = min(values.size, config.market.capacity)
+    kk = np.arange(1, limit + 1, dtype=float)
+    u = np.exp(-config.network.nu * kk)
+    coef = (1.0 - u) / (1.0 + config.network.mu * u) / kk
+    welfare_by_k = coef * prefix[1 : limit + 1] - config.market.unit_cost * kk
+    m = _first_decrease_stop(welfare_by_k)
+    return _Clearing(order, sorted_bids, prefix, coef, welfare_by_k, m)
 
 
 def select_winners_greedy(bids: Sequence[float], config: AuctionConfig) -> WinnerSet:
@@ -146,15 +174,98 @@ def select_winners_greedy(bids: Sequence[float], config: AuctionConfig) -> Winne
     positions into the bid vector, in admission order.
     """
     values = np.asarray(_validate_bids(bids), dtype=float)
-    n = values.size
-    if n == 0:
+    if values.size == 0:
         return ()
-    order = _descending_order(values)
-    prefix = np.concatenate(([0.0], np.cumsum(values[order])))
-    limit = min(n, config.market.capacity)
-    welfare_by_k = _prefix_welfare(prefix, limit, config)
-    m = _first_decrease_stop(welfare_by_k)
-    return tuple(int(i) for i in order[:m])
+    cleared = _clear(values, config)
+    return tuple(cleared.order[: cleared.m].tolist())
+
+
+def _band_start(cleared: _Clearing, cost: float) -> int:
+    """Lowest column whose counterfactual gains pricing must evaluate.
+
+    Row t (the winner of rank t, with bid b_t) sees the counterfactual
+    prefix welfare S'_t(k) = S(k) for k <= t and
+    S'_t(k) = coef[k-1] * (prefix[k+1] - b_t) - c k above it. The gains of
+    the unchanged part are positive because t < m. Every other gain left of
+    the returned column is proven positive here in O(m):
+
+    * the diagonal gain S'_t(t+1) - S(t), computed exactly as the scan would;
+    * the gains at k >= t + 2, which equal a term independent of t plus
+      b_t (coef[k-2] - coef[k-1]). Where coef strictly decreases there they
+      rise with b_t, and bids descend with rank, so row k - 2 bounds its
+      whole column from below. The bound counts only when it clears the
+      rounding error of two cells by a wide margin.
+
+    Returns the first column where either proof fails, else
+    max(1, m - _BAND_BEHIND).
+    """
+    m = cleared.m
+    first = max(1, m - _BAND_BEHIND)
+    ks = np.arange(1, first)
+    if ks.size == 0:
+        return first
+    coef, prefix, bids = cleared.coef, cleared.prefix, cleared.sorted_bids
+    diagonal = coef[ks - 1] * (prefix[ks + 1] - bids[ks - 1]) - cost * ks
+    proven = diagonal > np.concatenate(([0.0], cleared.welfare_by_k[: first - 2]))
+    k2 = ks[1:]
+    b = bids[k2 - 2]
+    upper = coef[k2 - 1] * (prefix[k2 + 1] - b) - cost * k2
+    lower = coef[k2 - 2] * (prefix[k2] - b) - cost * (k2 - 1)
+    scale = coef[k2 - 2] * prefix[k2 + 1] + cost * k2
+    proven[1:] &= (coef[k2 - 2] > coef[k2 - 1]) & (upper - lower > _BOUND_MARGIN * scale)
+    failed = np.flatnonzero(~proven)
+    return int(ks[failed[0]]) if failed.size else first
+
+
+def _counterfactual_welfare(cleared: _Clearing, config: AuctionConfig) -> np.ndarray:
+    """Welfare greedy selection reaches with each winner removed, by rank.
+
+    Every cell is the expression a literal re-run without the winner
+    evaluates, so each value is bit-identical to that re-run. A row's first
+    decrease lies above its rank and, in practice, next to m; rows are
+    scanned over a band of columns from _band_start to a few past m, and
+    rows that do not stop inside it rescan a band twice as wide beyond it,
+    up to the last feasible column. Blocks of rows stay under a fixed cell
+    budget, so memory does not grow with the roster.
+    """
+    m = cleared.m
+    n = cleared.sorted_bids.size
+    limit2 = min(n - 1, config.market.capacity)
+    s_prime = np.zeros(m)
+    if m == 0 or limit2 == 0:
+        return s_prime
+    cost = config.market.unit_cost
+    coef, prefix, welfare_by_k = cleared.coef, cleared.prefix, cleared.welfare_by_k
+    bids = cleared.sorted_bids[:m]
+
+    def cells(rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        # S'_t(k) for the given ranks t and columns k = lo..hi, with S'_t(0) = 0.
+        ks = np.arange(max(lo, 1), hi + 1)
+        shifted = coef[ks - 1] * (prefix[ks + 1] - bids[rows, None]) - cost * ks
+        block = np.where(ks <= rows[:, None], welfare_by_k[ks - 1], shifted)
+        if lo == 0:
+            block = np.concatenate((np.zeros((rows.size, 1)), block), axis=1)
+        return block
+
+    start = _band_start(cleared, cost)
+    end = min(limit2, m + _BAND_AHEAD)
+    pending = np.arange(m)
+    while pending.size:
+        step = max(1, _CELL_BUDGET // (end - start + 2))
+        unresolved = []
+        for i in range(0, pending.size, step):
+            rows = pending[i : i + step]
+            block = cells(rows, start - 1, end)
+            blocked = block[:, 1:] <= block[:, :-1]
+            hit = blocked.any(axis=1)
+            # The last admitted column, counted from start - 1.
+            col = np.where(hit, blocked.argmax(axis=1), end - start + 1)
+            done = hit | (end == limit2)
+            s_prime[rows[done]] = block[done, col[done]]
+            unresolved.append(rows[~done])
+        pending = np.concatenate(unresolved)
+        start, end = end + 1, min(limit2, end + 2 * (end - start + 1))
+    return s_prime
 
 
 def _roster_bids(roster: Sequence[BidderProfile]) -> dict[int, float]:
@@ -186,25 +297,35 @@ def vcg_payment(
     rest = [p for p in roster if p.id != winner_id]
     counterfactual = select_winners_greedy([p.bid for p in rest], config)
     s_prime = welfare_of_set([rest[i].bid for i in counterfactual], config)
-    remaining = [by_id[i] for i in winners if i != winner_id]
-    return _clamp_payment(s_prime - welfare_of_set(remaining, config))
+    others = welfare_of_set([by_id[i] for i in winners if i != winner_id], config)
+    return float(_clamp_payment(s_prime - others, abs(s_prime) + abs(others)))
 
 
-def _clamp_payment(p: float) -> float:
-    if p < -_PAYMENT_TOLERANCE:
+def _tolerance(magnitude):
+    return _RELATIVE_TOLERANCE * np.maximum(1.0, magnitude)
+
+
+def _clamp_payment(p, magnitude=1.0):
+    """Clamp payments within rounding residue below zero to zero; refuse the rest.
+
+    The residue allowed scales with the magnitude of the terms the payment
+    is the difference of, floored at 1. Works elementwise on arrays.
+    """
+    p = np.asarray(p, dtype=float)
+    if np.any(p < -_tolerance(magnitude)):
         raise RuntimeError(
-            f"internal consistency failure: payment {p} is negative beyond tolerance"
+            f"internal consistency failure: payment {float(p.min())} is negative beyond tolerance"
         )
-    return 0.0 if p < 0.0 else p
+    return np.where(p < 0.0, 0.0, p)
 
 
 def run_auction(roster: Sequence[BidderProfile], config: AuctionConfig) -> AuctionOutcome:
     """Clear one auction: select winners, price every winner, assemble the outcome.
 
     Only unit demands are supported; the selection and pricing rules are not
-    defined for divisible requests. Payments reuse one global descending
-    sort plus prefix sums, which matches a literal re-run of the selection
-    for every winner but costs O(n) per winner instead of O(n log n).
+    defined for divisible requests. Selection and pricing share one
+    descending sort plus prefix sums; payments match a literal re-run of
+    the selection for every winner, at O(n log n + m * band) in all.
     """
     ids = tuple(p.id for p in roster)
     if len(set(ids)) != len(ids):
@@ -219,54 +340,40 @@ def run_auction(roster: Sequence[BidderProfile], config: AuctionConfig) -> Aucti
         return AuctionOutcome(ids=(), allocation=(), payments=(), winners=(), welfare=0.0)
 
     values = np.asarray(_validate_bids([p.bid for p in roster]), dtype=float)
-    order = _descending_order(values)
-    sorted_bids = values[order]
-    prefix = np.concatenate(([0.0], np.cumsum(sorted_bids)))
-    capacity = config.market.capacity
+    cleared = _clear(values, config)
+    m = cleared.m
     cost = config.market.unit_cost
+    welfare = float(cleared.welfare_by_k[m - 1]) if m > 0 else 0.0
+    winner_positions = cleared.order[:m]
+    winner_bids = cleared.sorted_bids[:m]
 
-    limit = min(n, capacity)
-    welfare_by_k = _prefix_welfare(prefix, limit, config)
-    m = _first_decrease_stop(welfare_by_k)
-    welfare = float(welfare_by_k[m - 1]) if m > 0 else 0.0
-
-    payments = [0.0] * n
+    payments = np.zeros(n)
     if m > 0:
-        # Welfare of the top-k prefix of the roster with one winner removed:
-        # below the winner's rank the prefix is unchanged, at and above it
-        # the next bid slides in, so only cumulative sums are needed.
-        limit2 = min(n - 1, capacity)
-        kk = np.arange(1, limit2 + 1)
-        u = np.exp(-config.network.nu * kk.astype(float))
-        w_by_k = (1.0 - u) / (1.0 + config.network.mu * u)
-        sum_winners = float(prefix[m])
+        s_prime = _counterfactual_welfare(cleared, config)
+        # Welfare of the other winners as a set of their own.
         q = m - 1
-        w_q = network_effect(float(q), config.network) if q > 0 else 0.0
-        for t in range(m):
-            bid_j = float(sorted_bids[t])
-            sums = np.where(kk <= t, prefix[1 : limit2 + 1], prefix[2 : limit2 + 2] - bid_j)
-            s2 = (w_by_k / kk) * sums - cost * kk
-            m2 = _first_decrease_stop(s2)
-            s_prime = float(s2[m2 - 1]) if m2 > 0 else 0.0
-            if q > 0:
-                others = (1.0 / q) * w_q * (sum_winners - bid_j) - cost * q
-            else:
-                others = 0.0
-            payments[int(order[t])] = _clamp_payment(s_prime - others)
+        if q > 0:
+            w_q = network_effect(float(q), config.network)
+            others = (1.0 / q) * w_q * (float(cleared.prefix[m]) - winner_bids) - cost * q
+        else:
+            others = np.zeros(m)
+        payments[winner_positions] = _clamp_payment(
+            s_prime - others, np.abs(s_prime) + np.abs(others)
+        )
 
-    winner_positions = [int(i) for i in order[:m]]
-    winner_lookup = set(winner_positions)
-    allocation = tuple(1 if i in winner_lookup else 0 for i in range(n))
-    winners = tuple(ids[i] for i in winner_positions)
+    allocation = np.zeros(n, dtype=int)
+    allocation[winner_positions] = 1
+    winners = tuple(ids[i] for i in winner_positions.tolist())
 
-    check = welfare_of_set([values[i] for i in winner_positions], config)
-    if abs(check - welfare) > 1e-9:
+    check = welfare_of_set(winner_bids.tolist(), config)
+    magnitude = float(cleared.coef[m - 1] * cleared.prefix[m]) + cost * m if m > 0 else 0.0
+    if abs(check - welfare) > _tolerance(magnitude):
         raise RuntimeError("internal consistency failure: welfare mismatch")
 
     return AuctionOutcome(
         ids=ids,
-        allocation=allocation,
-        payments=tuple(payments),
+        allocation=tuple(allocation.tolist()),
+        payments=tuple(payments.tolist()),
         winners=winners,
         welfare=welfare,
     )
@@ -275,16 +382,19 @@ def run_auction(roster: Sequence[BidderProfile], config: AuctionConfig) -> Aucti
 def oracle_topk(bids: Sequence[float], config: AuctionConfig) -> tuple[WinnerSet, float]:
     """Exact optimum over top-k prefixes, scanning every feasible k.
 
-    Ties prefer the smaller k. Independent of the greedy path: evaluates
-    welfare_of_set from scratch for each k.
+    Ties prefer the smaller k. Independent of the greedy path: its own sort,
+    a running sum of the bids and w(k) from the model for each k.
     """
     values = _validate_bids(bids)
     n = len(values)
     order = sorted(range(n), key=lambda i: (-values[i], i))
     best_k = 0
     best = 0.0
+    total = 0.0
     for k in range(1, min(n, config.market.capacity) + 1):
-        s = welfare_of_set([values[i] for i in order[:k]], config)
+        total += values[order[k - 1]]
+        w = network_effect(float(k), config.network)
+        s = (1.0 / k) * w * total - config.market.unit_cost * k
         if s > best:
             best, best_k = s, k
     return tuple(order[:best_k]), best

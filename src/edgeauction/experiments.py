@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -221,20 +220,14 @@ def _clear_instance(spec: SweepSpec, grid_value: float, index: int) -> InstanceP
     )
 
 
-def run_sweep(
-    spec: SweepSpec, max_workers: int = 1
-) -> tuple[list[InstancePoint], list[GridMean]]:
+def run_sweep(spec: SweepSpec) -> tuple[list[InstancePoint], list[GridMean]]:
     """Clear every (grid value, instance) pair and aggregate per-point means.
 
-    Results are ordered by grid position then instance index regardless of
-    max_workers, so parallel and serial runs emit identical files.
+    Results are ordered by grid position then instance index.
     """
-    tasks = [(g, i) for g in spec.grid for i in range(spec.instances_per_point)]
-    if max_workers <= 1:
-        points = [_clear_instance(spec, g, i) for g, i in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            points = list(pool.map(lambda t: _clear_instance(spec, *t), tasks))
+    points = [
+        _clear_instance(spec, g, i) for g in spec.grid for i in range(spec.instances_per_point)
+    ]
 
     means: list[GridMean] = []
     n = spec.instances_per_point

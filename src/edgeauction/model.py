@@ -44,6 +44,16 @@ __all__ = [
 ]
 
 
+# Every field check below is one chained comparison, which NaN and the
+# infinities fail as well: a BidderProfile is built for every bidder of
+# every instance, so the checks stay that cheap. Only a failed check pays
+# for telling the two reasons apart.
+def _invalid(name: str, value: float, bound: str) -> ValueError:
+    if not math.isfinite(value):
+        return ValueError(f"{name} must be finite")
+    return ValueError(f"{name} must be {bound}")
+
+
 @dataclass(frozen=True)
 class BlockchainParams:
     """Protocol-level constants of the blockchain being mined."""
@@ -54,14 +64,14 @@ class BlockchainParams:
     propagation_coeff: float  # xi >= 0, propagation delay per unit of size
 
     def __post_init__(self) -> None:
-        if self.fixed_bonus < 0:
-            raise ValueError("fixed_bonus must be >= 0")
-        if self.fee_rate < 0:
-            raise ValueError("fee_rate must be >= 0")
-        if not self.mean_block_interval > 0:
-            raise ValueError("mean_block_interval must be > 0")
-        if self.propagation_coeff < 0:
-            raise ValueError("propagation_coeff must be >= 0")
+        if not 0.0 <= self.fixed_bonus < math.inf:
+            raise _invalid("fixed_bonus", self.fixed_bonus, ">= 0")
+        if not 0.0 <= self.fee_rate < math.inf:
+            raise _invalid("fee_rate", self.fee_rate, ">= 0")
+        if not 0.0 < self.mean_block_interval < math.inf:
+            raise _invalid("mean_block_interval", self.mean_block_interval, "> 0")
+        if not 0.0 <= self.propagation_coeff < math.inf:
+            raise _invalid("propagation_coeff", self.propagation_coeff, ">= 0")
 
 
 @dataclass(frozen=True)
@@ -72,10 +82,10 @@ class NetworkEffectParams:
     nu: float  # > 0, growth rate per resource unit
 
     def __post_init__(self) -> None:
-        if not self.mu > 0:
-            raise ValueError("mu must be > 0")
-        if not self.nu > 0:
-            raise ValueError("nu must be > 0")
+        if not 0.0 < self.mu < math.inf:
+            raise _invalid("mu", self.mu, "> 0")
+        if not 0.0 < self.nu < math.inf:
+            raise _invalid("nu", self.nu, "> 0")
 
 
 @dataclass(frozen=True)
@@ -87,14 +97,14 @@ class MarketConfig:
     hash_exponent: float  # alpha > 0
 
     def __post_init__(self) -> None:
-        if self.unit_cost < 0:
-            raise ValueError("unit_cost must be >= 0")
+        if not 0.0 <= self.unit_cost < math.inf:
+            raise _invalid("unit_cost", self.unit_cost, ">= 0")
         if not isinstance(self.capacity, int) or isinstance(self.capacity, bool):
             raise ValueError("capacity must be an integer")
         if self.capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if not self.hash_exponent > 0:
-            raise ValueError("hash_exponent must be > 0")
+        if not 0.0 < self.hash_exponent < math.inf:
+            raise _invalid("hash_exponent", self.hash_exponent, "> 0")
 
 
 @dataclass(frozen=True)
@@ -107,12 +117,12 @@ class BidderProfile:
     bid: float      # b >= 0
 
     def __post_init__(self) -> None:
-        if self.tx_size < 0:
-            raise ValueError("tx_size must be >= 0")
-        if not self.demand > 0:
-            raise ValueError("demand must be > 0")
-        if self.bid < 0:
-            raise ValueError("bid must be >= 0")
+        if not 0.0 <= self.tx_size < math.inf:
+            raise _invalid("tx_size", self.tx_size, ">= 0")
+        if not 0.0 < self.demand < math.inf:
+            raise _invalid("demand", self.demand, "> 0")
+        if not 0.0 <= self.bid < math.inf:
+            raise _invalid("bid", self.bid, ">= 0")
 
 
 def _check_allocation(demands: Sequence[float], allocation: Sequence[int]) -> None:

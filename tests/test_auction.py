@@ -1,6 +1,7 @@
 """Unit tests for winner selection, pricing and the two oracles."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from edgeauction import (
     NetworkEffectParams,
     bidder_utility,
     compare_selection_rules,
+    generate_instance,
+    network_effect,
     oracle_exhaustive,
     oracle_topk,
     run_auction,
@@ -20,9 +23,10 @@ from edgeauction import (
     welfare_of_set,
     write_divergence_report,
 )
-from edgeauction.auction import _clamp_payment
+from edgeauction.auction import _BAND_AHEAD, _BAND_BEHIND, _band_start, _clamp_payment, _clear
 
 from conftest import (
+    DEFAULT_BLOCKCHAIN,
     DEFAULT_NETWORK,
     sample_default_instance,
     sample_varied_instance,
@@ -48,6 +52,122 @@ def _reference_greedy(bids, config):
         chosen.append(i)
         best = trial
     return tuple(chosen)
+
+
+def _reference_clearing(roster, config):
+    """Per-winner counterfactual loop, kept literal as run_auction's reference.
+
+    Prices every winner by re-scanning all feasible prefix lengths of the
+    roster without it, with full-length arrays: O(n) per winner. Returns
+    the payments, the welfare, the winner count and the largest
+    counterfactual stop.
+    """
+    values = np.array([p.bid for p in roster], dtype=float)
+    n = values.size
+    order = np.argsort(-values, kind="stable")
+    sorted_bids = values[order]
+    prefix = np.concatenate(([0.0], np.cumsum(sorted_bids)))
+    capacity = config.market.capacity
+    cost = config.market.unit_cost
+
+    def first_decrease_stop(welfare_by_k):
+        gains = np.diff(np.concatenate(([0.0], welfare_by_k)))
+        blocked = np.flatnonzero(gains <= 0.0)
+        return int(blocked[0]) if blocked.size else int(welfare_by_k.size)
+
+    limit = min(n, capacity)
+    kk = np.arange(1, limit + 1, dtype=float)
+    u = np.exp(-config.network.nu * kk)
+    w = (1.0 - u) / (1.0 + config.network.mu * u)
+    welfare_by_k = (w / kk) * prefix[1 : limit + 1] - cost * kk
+    m = first_decrease_stop(welfare_by_k)
+    welfare = float(welfare_by_k[m - 1]) if m > 0 else 0.0
+
+    payments = [0.0] * n
+    max_stop = 0
+    if m > 0:
+        limit2 = min(n - 1, capacity)
+        kk = np.arange(1, limit2 + 1)
+        u = np.exp(-config.network.nu * kk.astype(float))
+        w_by_k = (1.0 - u) / (1.0 + config.network.mu * u)
+        sum_winners = float(prefix[m])
+        q = m - 1
+        w_q = network_effect(float(q), config.network) if q > 0 else 0.0
+        for t in range(m):
+            bid_j = float(sorted_bids[t])
+            sums = np.where(kk <= t, prefix[1 : limit2 + 1], prefix[2 : limit2 + 2] - bid_j)
+            s2 = (w_by_k / kk) * sums - cost * kk
+            m2 = first_decrease_stop(s2)
+            max_stop = max(max_stop, m2)
+            s_prime = float(s2[m2 - 1]) if m2 > 0 else 0.0
+            if q > 0:
+                others = (1.0 / q) * w_q * (sum_winners - bid_j) - cost * q
+            else:
+                others = 0.0
+            p = s_prime - others
+            payments[int(order[t])] = 0.0 if p < 0.0 else p
+    return tuple(payments), welfare, m, max_stop
+
+
+# Roster families for the exactness test: (bids, mu, nu, capacity, unit cost)
+# drawn from a generator. Each aims at one branch of the pricing kernel.
+def _typical(rng):
+    n = int(rng.integers(2, 120))
+    return rng.exponential(1.0, n), 0.5, 0.005 * 10.0 ** rng.uniform(-1, 1), n, 10.0 ** rng.uniform(-5, -2)
+
+
+def _s_shaped(rng):
+    # mu > 1: w(k)/k rises at first, so the band starts near column 1
+    n = int(rng.integers(10, 80))
+    return rng.uniform(1.0, 2.0, n), 10.0 ** rng.uniform(0.2, 1.0), 10.0 ** rng.uniform(-2, -0.5), n, 1e-4
+
+
+def _binding_capacity(rng):
+    n = int(rng.integers(5, 60))
+    return rng.uniform(0.0, 1.0, n), 0.5, 0.05, int(rng.integers(1, n)), 1e-5
+
+
+def _everyone_wins(rng):
+    n = int(rng.integers(1, 30))
+    return rng.uniform(1.0, 2.0, n), 0.5, 0.05, n, 1e-6
+
+
+def _single_bidder(rng):
+    return rng.uniform(0.0, 1.0, 1), 0.5, 0.05, 1, 10.0 ** rng.uniform(-4, 0)
+
+
+def _tied_and_zero(rng):
+    n = int(rng.integers(1, 40))
+    return rng.integers(0, 3, n).astype(float) * float(rng.integers(0, 2)), 0.5, 0.05, n, 1e-4
+
+
+def _whale(rng):
+    # one huge bid among near-equal ones: the whale wins alone, and without
+    # it greedy admits far more bidders, beyond the first band
+    n = int(rng.integers(10, 80))
+    bids = rng.uniform(1.0, 1.01, n)
+    bids[int(rng.integers(0, n))] = 10.0 ** rng.uniform(2, 4)
+    return bids, 0.5, 0.05, n, 1e-3
+
+
+def _scaled(factor):
+    def draw(rng):
+        bids, mu, nu, capacity, cost = _typical(rng)
+        return bids * factor, mu, nu, capacity, cost * factor
+    return draw
+
+
+_ROSTER_FAMILIES = {
+    "typical": _typical,
+    "s_shaped": _s_shaped,
+    "binding_capacity": _binding_capacity,
+    "everyone_wins": _everyone_wins,
+    "single_bidder": _single_bidder,
+    "tied_and_zero": _tied_and_zero,
+    "whale": _whale,
+    "scaled_1e-9": _scaled(1e-9),
+    "scaled_1e9": _scaled(1e9),
+}
 
 
 class TestFrozenExamples:
@@ -134,6 +254,43 @@ class TestRunAuction:
                 checked += 1
         assert checked > 100
 
+    @pytest.mark.parametrize("family", sorted(_ROSTER_FAMILIES))
+    def test_payments_and_welfare_equal_the_literal_loop(self, family):
+        rng = np.random.default_rng(sorted(_ROSTER_FAMILIES).index(family))
+        lowered_band = beyond_band = winners = 0
+        for _ in range(60):
+            bids, mu, nu, capacity, cost = _ROSTER_FAMILIES[family](rng)
+            roster = [
+                BidderProfile(id=i, tx_size=0.0, demand=1.0, bid=float(b))
+                for i, b in enumerate(bids)
+            ]
+            config = _config(unit_cost=cost, capacity=capacity, network=NetworkEffectParams(mu, nu))
+            outcome = run_auction(roster, config)
+            payments, welfare, m, max_stop = _reference_clearing(roster, config)
+            assert outcome.payments == payments
+            assert outcome.welfare == welfare
+            winners += m
+            lowered_band += _band_start(_clear(np.asarray(bids), config), cost) < m - _BAND_BEHIND
+            beyond_band += max_stop > m + _BAND_AHEAD
+        assert winners > 0 or family == "tied_and_zero"
+        if family == "s_shaped":
+            assert lowered_band > 0
+        if family == "whale":
+            assert beyond_band > 0
+
+    def test_large_bids_clear_like_the_same_roster_in_small_units(self):
+        # Welfare here is about 1.3e10 and its two summation orders differ
+        # by about 8e-6, so the consistency checks must scale with the bids.
+        roster = generate_instance(300, replace(DEFAULT_BLOCKCHAIN, fixed_bonus=50.0), 2)
+        scaled = [replace(p, bid=p.bid * 1e9) for p in roster]
+        plain = run_auction(roster, _config(unit_cost=0.02, capacity=300))
+        big = run_auction(scaled, _config(unit_cost=0.02e9, capacity=300))
+        assert big.winners == plain.winners
+        assert len(plain.winners) == 221
+        assert big.welfare == pytest.approx(1e9 * plain.welfare, rel=1e-12)
+        for a, b in zip(plain.payments, big.payments):
+            assert b == pytest.approx(1e9 * a, abs=1e-12 * big.welfare)
+
     def test_losers_pay_exactly_zero(self):
         rng = np.random.default_rng(1312)
         for _ in range(100):
@@ -187,10 +344,13 @@ class TestPayments:
         assert _clamp_payment(-5e-10) == 0.0
         assert _clamp_payment(0.0) == 0.0
         assert _clamp_payment(1.5) == 1.5
+        assert _clamp_payment(-0.5, 1e9) == 0.0
 
     def test_clamp_refuses_genuinely_negative_payment(self):
         with pytest.raises(RuntimeError, match="negative"):
             _clamp_payment(-2e-9)
+        with pytest.raises(RuntimeError, match="negative"):
+            _clamp_payment(-2.0, 1e9)
 
     def test_vcg_payment_validates_ids(self):
         roster = [

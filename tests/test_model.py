@@ -104,6 +104,36 @@ class TestValidation:
         with pytest.raises(ValueError):
             BidderProfile(id=0, tx_size=1.0, demand=1.0, bid=-1.0)
 
+    @pytest.mark.parametrize(
+        "cls, valid",
+        [
+            (BlockchainParams, dict(fixed_bonus=2.5, fee_rate=0.007,
+                                    mean_block_interval=600.0, propagation_coeff=1.0)),
+            (NetworkEffectParams, dict(mu=0.5, nu=0.005)),
+            (MarketConfig, dict(unit_cost=0.02, capacity=3, hash_exponent=1.2)),
+            (BidderProfile, dict(id=0, tx_size=1.0, demand=1.0, bid=1.0)),
+        ],
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_every_numeric_field_rejects_non_finite_values(self, cls, valid, bad):
+        cls(**valid)
+        for name, value in valid.items():
+            if isinstance(value, float):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    cls(**dict(valid, **{name: bad}))
+
+    def test_non_finite_market_network_and_bids_are_refused(self):
+        # unchecked, a NaN cost lets every bidder win with NaN welfare and
+        # NaN payments, and NaN slips past every comparison-based check
+        with pytest.raises(ValueError, match="unit_cost must be finite"):
+            MarketConfig(unit_cost=math.nan, capacity=50, hash_exponent=1.2)
+        with pytest.raises(ValueError, match="tx_size must be finite"):
+            BidderProfile(id=0, tx_size=math.nan, demand=1.0, bid=math.inf)
+        with pytest.raises(ValueError, match="bid must be finite"):
+            BidderProfile(id=0, tx_size=1.0, demand=1.0, bid=math.inf)
+        with pytest.raises(ValueError, match="mu must be finite"):
+            NetworkEffectParams(mu=math.inf, nu=0.005)
+
     def test_hash_power_requires_a_served_miner(self):
         with pytest.raises(ValueError, match="no allocated miners"):
             hash_power([1.0, 2.0], [0, 0], 1.2)
