@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -268,13 +269,13 @@ def _counterfactual_welfare(cleared: _Clearing, config: AuctionConfig) -> np.nda
     return s_prime
 
 
-def _roster_bids(roster: Sequence[BidderProfile]) -> dict[int, float]:
-    by_id: dict[int, float] = {}
-    for p in roster:
-        if p.id in by_id:
-            raise ValueError(f"duplicate bidder id {p.id}")
-        by_id[p.id] = p.bid
-    return by_id
+def _roster_ids(roster: Sequence[BidderProfile]) -> tuple[int, ...]:
+    """Bidder ids in submission order; refuses a roster that repeats one."""
+    ids = tuple(p.id for p in roster)
+    if len(set(ids)) != len(ids):
+        repeated = next(i for i, count in Counter(ids).items() if count > 1)
+        raise ValueError(f"duplicate bidder id {repeated}")
+    return ids
 
 
 def vcg_payment(
@@ -289,7 +290,8 @@ def vcg_payment(
     counterfactual welfare, then subtracts the welfare of the remaining
     winners evaluated as a set of their own.
     """
-    by_id = _roster_bids(roster)
+    _roster_ids(roster)
+    by_id = {p.id: p.bid for p in roster}
     if winner_id not in by_id:
         raise ValueError(f"unknown bidder id {winner_id}")
     if winner_id not in winners:
@@ -327,9 +329,7 @@ def run_auction(roster: Sequence[BidderProfile], config: AuctionConfig) -> Aucti
     descending sort plus prefix sums; payments match a literal re-run of
     the selection for every winner, at O(n log n + m * band) in all.
     """
-    ids = tuple(p.id for p in roster)
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate bidder ids in roster")
+    ids = _roster_ids(roster)
     for p in roster:
         if p.demand != 1.0:
             raise ValueError(
@@ -339,7 +339,8 @@ def run_auction(roster: Sequence[BidderProfile], config: AuctionConfig) -> Aucti
     if n == 0:
         return AuctionOutcome(ids=(), allocation=(), payments=(), winners=(), welfare=0.0)
 
-    values = np.asarray(_validate_bids([p.bid for p in roster]), dtype=float)
+    # BidderProfile has already refused every bid that is not finite and >= 0.
+    values = np.array([p.bid for p in roster], dtype=float)
     cleared = _clear(values, config)
     m = cleared.m
     cost = config.market.unit_cost
@@ -420,14 +421,12 @@ def oracle_exhaustive(
         raise ValueError(
             f"exhaustive enumeration over {n} bidders refused (limit {_MAX_EXHAUSTIVE_BIDDERS})"
         )
-    ids = [p.id for p in roster]
-    if len(set(ids)) != n:
-        raise ValueError("duplicate bidder ids in roster")
+    ids = _roster_ids(roster)
     if n == 0:
         return (), 0.0
 
     demands = np.array([p.demand for p in roster], dtype=float)
-    bids = np.asarray(_validate_bids([p.bid for p in roster]), dtype=float)
+    bids = np.array([p.bid for p in roster], dtype=float)
     weights = demands ** config.market.hash_exponent
 
     size = 1 << n

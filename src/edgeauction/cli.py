@@ -22,6 +22,7 @@ from .calibration import fit_alpha, load_samples
 from .experiments import (
     SweepSpec,
     emit_results,
+    non_binding_capacity,
     run_sweep,
     sweep_metadata,
 )
@@ -47,8 +48,8 @@ _CONFIG_KEYS = (
     "num_users",
 )
 
-# capacity may be omitted; it then defaults to the number of users so the
-# resource constraint never binds.
+# capacity may be omitted or null; it then defaults to the number of users
+# so the resource constraint never binds.
 _OPTIONAL_CONFIG_KEYS = ("capacity",)
 
 _PARAM_ALIASES = {
@@ -87,7 +88,8 @@ def _load_config(path: str) -> dict:
     return data
 
 
-def _build_parts(config: dict, capacity: int) -> tuple[BlockchainParams, NetworkEffectParams, MarketConfig]:
+def _build_parts(config: dict, default_capacity: int) -> tuple[BlockchainParams, NetworkEffectParams, MarketConfig]:
+    capacity = config.get("capacity")
     try:
         blockchain = BlockchainParams(
             fixed_bonus=float(config["fixed_bonus"]),
@@ -98,21 +100,12 @@ def _build_parts(config: dict, capacity: int) -> tuple[BlockchainParams, Network
         network = NetworkEffectParams(mu=float(config["mu"]), nu=float(config["nu"]))
         market = MarketConfig(
             unit_cost=float(config["unit_cost"]),
-            capacity=capacity,
+            capacity=default_capacity if capacity is None else capacity,
             hash_exponent=float(config["hash_exponent"]),
         )
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid config value: {exc}") from None
     return blockchain, network, market
-
-
-def _config_capacity(config: dict, fallback: int) -> int:
-    raw = config.get("capacity")
-    if raw is None:
-        return fallback
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise CliError("capacity must be an integer")
-    return raw
 
 
 def _cmd_auction_run(args: argparse.Namespace) -> int:
@@ -138,8 +131,7 @@ def _cmd_auction_run(args: argparse.Namespace) -> int:
         except (TypeError, ValueError) as exc:
             raise CliError(f"{args.bids}: entry {pos}: {exc}") from None
 
-    capacity = _config_capacity(config, fallback=max(len(roster), 1))
-    _, network, market = _build_parts(config, capacity)
+    _, network, market = _build_parts(config, max(len(roster), 1))
     try:
         outcome = run_auction(roster, AuctionConfig(market=market, network=network))
     except ValueError as exc:
@@ -181,13 +173,9 @@ def _cmd_experiment_sweep(args: argparse.Namespace) -> int:
     num_users = config.get("num_users")
     if isinstance(num_users, bool) or not isinstance(num_users, int):
         raise CliError("num_users must be an integer")
-
-    if param == "num_users":
-        fallback = int(max(max(grid), num_users))
-    else:
-        fallback = num_users
-    capacity = _config_capacity(config, fallback=fallback)
-    blockchain, network, market = _build_parts(config, capacity)
+    blockchain, network, market = _build_parts(
+        config, non_binding_capacity(param, grid, num_users)
+    )
 
     try:
         spec = SweepSpec(
@@ -274,10 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RuntimeError as exc:
+    except (CliError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

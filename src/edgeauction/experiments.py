@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -71,9 +71,6 @@ RNG_FAMILY = "numpy PCG64"
 
 _MASK64 = (1 << 64) - 1
 
-_POINT_FIELDS = ("sweep_param", "grid_value", "instance_index", "welfare", "winner_count", "total_payment")
-_MEAN_FIELDS = ("sweep_param", "grid_value", "welfare", "winner_count", "total_payment", "n_instances")
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -100,10 +97,12 @@ class SweepSpec:
             raise ValueError("grid values must be strictly increasing")
         if self.swept_parameter == "num_users":
             for g in self.grid:
-                if float(g) != int(g) or int(g) < 1:
+                if not float(g).is_integer() or g < 1:
                     raise ValueError("num_users grid values must be positive integers")
-        elif any(g < 0 for g in self.grid):
-            raise ValueError("grid values must be >= 0")
+        else:
+            # BlockchainParams refuses every value the sweep could not clear.
+            for g in self.grid:
+                replace(self.blockchain, **{self.swept_parameter: float(g)})
         if self.num_users < 1:
             raise ValueError("num_users must be >= 1")
         if self.instances_per_point < 1:
@@ -134,6 +133,11 @@ class GridMean:
     n_instances: int
 
 
+# Output columns: the swept parameter's name, then each record's fields.
+_POINT_FIELDS = ("sweep_param", *(f.name for f in fields(InstancePoint)))
+_MEAN_FIELDS = ("sweep_param", *(f.name for f in fields(GridMean)))
+
+
 def stable_instance_seed(base_seed: int, grid_value: float, instance_index: int) -> int:
     """Seed for one instance, independent of every other grid point.
 
@@ -153,16 +157,18 @@ def generate_instance(
     if num_users < 1:
         raise ValueError("num_users must be >= 1")
     rng = np.random.Generator(np.random.PCG64(int(seed)))
-    sizes = rng.uniform(0.0, 1000.0, size=num_users)
+    sizes = rng.uniform(0.0, 1000.0, size=num_users).tolist()
     return [
-        BidderProfile(
-            id=i,
-            tx_size=float(s),
-            demand=1.0,
-            bid=ex_ante_valuation(float(s), blockchain),
-        )
+        BidderProfile(id=i, tx_size=s, demand=1.0, bid=ex_ante_valuation(s, blockchain))
         for i, s in enumerate(sizes)
     ]
+
+
+def non_binding_capacity(swept_parameter: str, grid: Sequence[float], num_users: int) -> int:
+    """Capacity that never binds: the largest user count the sweep puts in play."""
+    if swept_parameter == "num_users":
+        return int(max(max(grid), num_users))
+    return num_users
 
 
 def default_sweep_spec(
@@ -181,12 +187,10 @@ def default_sweep_spec(
     if swept_parameter not in DEFAULT_GRIDS:
         raise ValueError(f"no default grid for {swept_parameter!r}")
     chosen = tuple(grid) if grid is not None else DEFAULT_GRIDS[swept_parameter]
-    if swept_parameter == "num_users":
-        capacity = int(max(max(chosen), num_users))
-    else:
-        capacity = num_users
     market = MarketConfig(
-        unit_cost=unit_cost, capacity=capacity, hash_exponent=DEFAULT_HASH_EXPONENT
+        unit_cost=unit_cost,
+        capacity=non_binding_capacity(swept_parameter, chosen, num_users),
+        hash_exponent=DEFAULT_HASH_EXPONENT,
     )
     return SweepSpec(
         swept_parameter=swept_parameter,
@@ -267,33 +271,13 @@ def sweep_metadata(spec: SweepSpec) -> dict:
     }
 
 
-def _format_number(value: float) -> str:
-    # repr of a Python scalar round-trips exactly and is stable across runs.
+def _csv_cell(value: str | int | float) -> str:
+    # repr of a Python number round-trips exactly and is stable across runs.
+    if isinstance(value, str):
+        return value
     if isinstance(value, int):
         return repr(value)
     return repr(float(value))
-
-
-def _point_row(spec_name: str, p: InstancePoint) -> list[str]:
-    return [
-        spec_name,
-        _format_number(p.grid_value),
-        repr(int(p.instance_index)),
-        _format_number(p.welfare),
-        repr(int(p.winner_count)),
-        _format_number(p.total_payment),
-    ]
-
-
-def _mean_row(spec_name: str, m: GridMean) -> list[str]:
-    return [
-        spec_name,
-        _format_number(m.grid_value),
-        _format_number(m.welfare),
-        _format_number(m.winner_count),
-        _format_number(m.total_payment),
-        repr(int(m.n_instances)),
-    ]
 
 
 def emit_results(
@@ -315,16 +299,15 @@ def emit_results(
     dest.parent.mkdir(parents=True, exist_ok=True)
     meta = {"rng_family": RNG_FAMILY}
     meta.update(metadata or {})
+    point_rows = [(sweep_param, *astuple(p)) for p in points]
+    mean_rows = [(sweep_param, *astuple(m)) for m in means]
 
     if format == "csv":
-        lines = [",".join(_POINT_FIELDS)]
-        lines += [",".join(_point_row(sweep_param, p)) for p in points]
-        dest.write_text("\n".join(lines) + "\n")
-
         means_path = dest.with_name(dest.stem + "_means" + (dest.suffix or ".csv"))
-        lines = [",".join(_MEAN_FIELDS)]
-        lines += [",".join(_mean_row(sweep_param, m)) for m in means]
-        means_path.write_text("\n".join(lines) + "\n")
+        tables = ((dest, _POINT_FIELDS, point_rows), (means_path, _MEAN_FIELDS, mean_rows))
+        for path, header, rows in tables:
+            lines = [",".join(header)] + [",".join(map(_csv_cell, row)) for row in rows]
+            path.write_text("\n".join(lines) + "\n")
 
         meta_path = dest.with_name(dest.stem + "_meta.json")
         meta_path.write_text(json.dumps(meta, indent=2) + "\n")
@@ -333,16 +316,8 @@ def emit_results(
     if format == "json":
         payload = {
             "metadata": meta,
-            "points": [
-                dict(zip(_POINT_FIELDS, (sweep_param, p.grid_value, p.instance_index,
-                                         p.welfare, p.winner_count, p.total_payment)))
-                for p in points
-            ],
-            "means": [
-                dict(zip(_MEAN_FIELDS, (sweep_param, m.grid_value, m.welfare,
-                                        m.winner_count, m.total_payment, m.n_instances)))
-                for m in means
-            ],
+            "points": [dict(zip(_POINT_FIELDS, row)) for row in point_rows],
+            "means": [dict(zip(_MEAN_FIELDS, row)) for row in mean_rows],
         }
         dest.write_text(json.dumps(payload, indent=2) + "\n")
         return [dest]

@@ -8,7 +8,6 @@ There the winner count of the bonus sweep peaks inside its grid, so
 criterion 7 fails on that one clause; its detail string gives the peak.
 """
 
-import json
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -20,6 +19,7 @@ from edgeauction import (
     BlockchainParams,
     HashPowerSample,
     MarketConfig,
+    SelectionDivergence,
     bidder_utility,
     default_sweep_spec,
     emit_results,
@@ -35,6 +35,7 @@ from edgeauction import (
     stable_instance_seed,
     sweep_metadata,
     welfare_of_set,
+    write_divergence_report,
 )
 
 from conftest import (
@@ -144,19 +145,25 @@ def test_criterion_2_greedy_matches_topk_on_default_market():
         bids = [p.bid for p in roster]
         greedy = select_winners_greedy(bids, config)
         s_greedy = welfare_of_set([bids[i] for i in greedy], config)
-        _, s_topk = oracle_topk(bids, config)
+        topk, s_topk = oracle_topk(bids, config)
         gap = abs(s_greedy - s_topk)
         worst = max(worst, gap)
         nonempty += bool(greedy)
         if gap > 1e-9:
             mismatches.append(
-                {"bids": bids, "capacity": config.market.capacity,
-                 "greedy_welfare": s_greedy, "topk_welfare": s_topk}
+                SelectionDivergence(
+                    bids=tuple(bids),
+                    capacity=config.market.capacity,
+                    greedy_winner_count=len(greedy),
+                    greedy_welfare=s_greedy,
+                    topk_winner_count=len(topk),
+                    topk_welfare=s_topk,
+                )
             )
     if mismatches:
-        _DIAGNOSTICS_DIR.mkdir(exist_ok=True)
-        out = _DIAGNOSTICS_DIR / "greedy_topk_mismatches.json"
-        out.write_text(json.dumps(mismatches, indent=2) + "\n")
+        out = write_divergence_report(
+            mismatches, _DIAGNOSTICS_DIR / "greedy_topk_mismatches.json"
+        )
         _report(
             "greedy agreement",
             False,

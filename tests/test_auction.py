@@ -324,10 +324,17 @@ class TestRunAuction:
     def test_rejects_duplicate_ids(self):
         roster = [
             BidderProfile(id=1, tx_size=1.0, demand=1.0, bid=1.0),
-            BidderProfile(id=1, tx_size=2.0, demand=1.0, bid=2.0),
+            BidderProfile(id=4, tx_size=2.0, demand=1.0, bid=2.0),
+            BidderProfile(id=1, tx_size=3.0, demand=1.0, bid=3.0),
         ]
-        with pytest.raises(ValueError, match="duplicate"):
-            run_auction(roster, _config())
+        clears = (
+            run_auction,
+            oracle_exhaustive,
+            lambda r, config: vcg_payment(4, r, (4,), config),
+        )
+        for clear in clears:
+            with pytest.raises(ValueError, match="duplicate bidder id 1"):
+                clear(roster, _config())
 
     def test_config_type_checks(self):
         with pytest.raises(ValueError):

@@ -58,23 +58,42 @@ class TestAuctionRun:
 
     def test_capacity_defaults_to_roster_size(self, tmp_path, bids_path):
         # same config plus an explicit binding capacity must change the outcome
+        # and an explicit null capacity means the default
         free = dict(GOOD_CONFIG)
         bound = dict(GOOD_CONFIG, capacity=1)
+        null = dict(GOOD_CONFIG, capacity=None)
         free_path = tmp_path / "free.json"
         bound_path = tmp_path / "bound.json"
+        null_path = tmp_path / "null.json"
         free_path.write_text(json.dumps(free))
         bound_path.write_text(json.dumps(bound))
+        null_path.write_text(json.dumps(null))
 
         out_free = tmp_path / "out_free.json"
         out_bound = tmp_path / "out_bound.json"
+        out_null = tmp_path / "out_null.json"
         assert main(["auction", "run", "--bids", str(bids_path),
                      "--config", str(free_path), "--out", str(out_free)]) == 0
         assert main(["auction", "run", "--bids", str(bids_path),
                      "--config", str(bound_path), "--out", str(out_bound)]) == 0
+        assert main(["auction", "run", "--bids", str(bids_path),
+                     "--config", str(null_path), "--out", str(out_null)]) == 0
         n_free = len(json.loads(out_free.read_text())["winners"])
         n_bound = len(json.loads(out_bound.read_text())["winners"])
         assert n_free > 1
         assert n_bound == 1
+        assert out_null.read_bytes() == out_free.read_bytes()
+
+    @pytest.mark.parametrize("capacity", [True, 2.5, 0])
+    def test_capacity_must_be_a_positive_integer(self, tmp_path, bids_path, capsys, capacity):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(GOOD_CONFIG, capacity=capacity)))
+        code = main(["auction", "run", "--bids", str(bids_path),
+                     "--config", str(path), "--out", str(tmp_path / "o.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "capacity must be" in err
+        assert err.count("\n") == 1
 
     def test_missing_config_key(self, tmp_path, bids_path, capsys):
         broken = {k: v for k, v in GOOD_CONFIG.items() if k != "mu"}
@@ -218,6 +237,29 @@ class TestExperimentSweep:
         ])
         assert code == 1
         assert "increasing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "grid, reason",
+        [("0,100", "must be > 0"), ("0.001,inf", "must be finite"), ("nan", "must be finite")],
+        ids=["zero", "inf", "nan"],
+    )
+    def test_grid_value_the_market_refuses_is_one_error_line(
+        self, tmp_path, config_path, capsys, grid, reason
+    ):
+        code = main([
+            "experiment", "sweep",
+            "--param", "lambda",
+            "--config", str(config_path),
+            "--grid", grid,
+            "--instances", "1",
+            "--seed", "1",
+            "--out", str(tmp_path / "s.csv"),
+            "--format", "csv",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: mean_block_interval {reason}\n"
+        assert not (tmp_path / "s.csv").exists()
 
     def test_unknown_param_is_an_argparse_error(self, tmp_path, config_path):
         with pytest.raises(SystemExit) as exc:

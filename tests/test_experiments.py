@@ -1,6 +1,9 @@
 """Unit tests for the sweep harness: seeding, aggregation, serialization."""
 
+import hashlib
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -88,6 +91,24 @@ class TestSweepSpec:
     def test_users_grid_must_be_integral(self):
         with pytest.raises(ValueError, match="positive integers"):
             default_sweep_spec("num_users", grid=(10.5, 20.0))
+        spec = default_sweep_spec("num_users", instances_per_point=1)
+        for grid in ((0, 10), (10, math.inf), (math.nan,)):
+            with pytest.raises(ValueError, match="positive integers"):
+                replace(spec, grid=grid)
+
+    @pytest.mark.parametrize(
+        "param, grid, reason",
+        [
+            ("mean_block_interval", (0.0, 100.0), "mean_block_interval must be > 0"),
+            ("mean_block_interval", (0.001, math.inf), "mean_block_interval must be finite"),
+            ("mean_block_interval", (math.nan,), "mean_block_interval must be finite"),
+            ("fee_rate", (-0.001, 0.002), "fee_rate must be >= 0"),
+        ],
+        ids=["zero", "inf", "nan", "negative"],
+    )
+    def test_blockchain_params_refuse_grid_values(self, param, grid, reason):
+        with pytest.raises(ValueError, match=reason):
+            default_sweep_spec(param, grid=grid)
 
     def test_base_seed_must_fit_64_bits(self):
         with pytest.raises(ValueError, match="64 bits"):
@@ -255,3 +276,63 @@ def test_spec_rejects_wrong_parameter_name():
             instances_per_point=1,
             base_seed=0,
         )
+
+
+# sha256 of the four default sweeps at 2 instances per grid value, base seed
+# 0, in both cost regimes and both formats, recorded with numpy 2.4.6 and
+# Python 3.11.7. A refactor must leave every byte alone; a change that means
+# to alter the output updates these digests on purpose and says so.
+_SWEEP_DIGESTS = {
+    "cost_0.001/csv/sweep_fee_rate.csv": "63f7be3177d81fb14c1014e8dd8e43a5248ee68469770774c0a3b6f062519ce1",
+    "cost_0.001/csv/sweep_fee_rate_means.csv": "265866030c7fae16e09b8373fff3555ac9226d33acb0575ca1bbdaad86415959",
+    "cost_0.001/csv/sweep_fee_rate_meta.json": "f390bfb46322a4e128fb47fff8ec8e2db267eff59d626f0ade5c4eae4e92822e",
+    "cost_0.001/csv/sweep_fixed_bonus.csv": "c1ada9824ed0e5e6e754c5802de7eb5a6a8302216c5c5a485c58ebf3a349f5c1",
+    "cost_0.001/csv/sweep_fixed_bonus_means.csv": "cc0ffe467a893d3458b4a4b7d92a70a82ebfabb26939e3b3a032104ddd8284f5",
+    "cost_0.001/csv/sweep_fixed_bonus_meta.json": "0c11b9e205bbc94d03140b88b1f9d28be2405ddb68bba558ba3b1eb697ae6789",
+    "cost_0.001/csv/sweep_mean_block_interval.csv": "2b175d845c6aa0dffb35eefdf95fc94bb223eba8351c3e245868201685967314",
+    "cost_0.001/csv/sweep_mean_block_interval_means.csv": "e1e11c5391ea065430d7eaf11ea69de8a330160ea334b51c9a159848326803e8",
+    "cost_0.001/csv/sweep_mean_block_interval_meta.json": "0541a8136410d9e81f3848a1cee4a8356d084d69b02e9b661c25edc724350de0",
+    "cost_0.001/csv/sweep_num_users.csv": "50e4fb7f9f9b8534323e1d4ac888aa7e8acf69232d34b35a52674dd1f8eafbb7",
+    "cost_0.001/csv/sweep_num_users_means.csv": "b6ed1157baa3317ff39b8cc3e2541103a3773a4516ad8a529096c178243b472a",
+    "cost_0.001/csv/sweep_num_users_meta.json": "fa06b65e7d71ad3ed31c8e8d0904474311b81553947bf27550a9819645bbfbd3",
+    "cost_0.001/json/sweep_fee_rate.json": "1ae6a6cb6d8a972ae457bc630d90316a8992ceefef7f677c7ab4e43736a273d1",
+    "cost_0.001/json/sweep_fixed_bonus.json": "2f6e11264a3303091e94b2e1f3e000c642fe929b5d76a145af793bbd1e95b6b8",
+    "cost_0.001/json/sweep_mean_block_interval.json": "65c31ec3b44f1c43d12a8fad1d645f11f538bd9f25c5963f93ec1375019d1193",
+    "cost_0.001/json/sweep_num_users.json": "e1066e4fb2c5617befd2ede996d6917c567d9af2469cfb36deff401b0f31762b",
+    "cost_0.02/csv/sweep_fee_rate.csv": "a58c683451f36232fad5e3fb6e25f91b6d8cc4c09e5b7552406cd2202d7c0f0c",
+    "cost_0.02/csv/sweep_fee_rate_means.csv": "219c08a4c257d3bfeaff3571421871c74b0cffa1c31d916058df29eb312852d1",
+    "cost_0.02/csv/sweep_fee_rate_meta.json": "31692be99a55cd5e2c554b5166755aeee90390cde998ea65f9a0918fc1e39859",
+    "cost_0.02/csv/sweep_fixed_bonus.csv": "bf89c7f419d069b001b61e6c20aaf666d0a641a7c0587722e1a038151c09b019",
+    "cost_0.02/csv/sweep_fixed_bonus_means.csv": "2e10ad84244110c8a375807f4760f7f2883e866e7be83b925444eb49bb598c41",
+    "cost_0.02/csv/sweep_fixed_bonus_meta.json": "d7e96f305f1483f482c030c9264ca2f7880cdf09c30191466b9d2199a608ca64",
+    "cost_0.02/csv/sweep_mean_block_interval.csv": "203b9a06c41a21154eccab2f88dfe388599fcd0ae57c13bf3e65d031b6ccf1ba",
+    "cost_0.02/csv/sweep_mean_block_interval_means.csv": "df7ab770dec24149d310ff8f5a4722e5b799a9921a0b0471be8529a33845ed8b",
+    "cost_0.02/csv/sweep_mean_block_interval_meta.json": "829159fa84796812e2ddba8ec11f9ddec8f079635922d7ea3ec9677ace7e5bf0",
+    "cost_0.02/csv/sweep_num_users.csv": "97025fb21b7c1190e879a7e311d692f5bdc908d6b56386e2f516b54e5748a22a",
+    "cost_0.02/csv/sweep_num_users_means.csv": "4b3412edec66ce585c780e4940c1c4dbf7fb95568d26557dd2ecb8bb38c3e633",
+    "cost_0.02/csv/sweep_num_users_meta.json": "07994bfe08b4fbeb91b6ccf16946f70992f77fb39888bf8783c3235f55c2094b",
+    "cost_0.02/json/sweep_fee_rate.json": "357a8bc1bb25263fda08441b41601b0e9513ab31c9b790fb021fde7303568b83",
+    "cost_0.02/json/sweep_fixed_bonus.json": "22d461be7f567ec8461de786916a6135356b83017cbc1e2c367aec80314e6cb9",
+    "cost_0.02/json/sweep_mean_block_interval.json": "7273757ab8c3a800f8a4b84200ef42c4c5e1bc7c18f27e94dcf232e82392fbee",
+    "cost_0.02/json/sweep_num_users.json": "d7c36a91c8259b45414e0b77a29be2d450de266d26073b123edb437d1bb48007",
+}
+
+
+def test_default_sweep_bytes_match_recorded_digests(tmp_path):
+    for unit_cost in (0.001, 0.02):
+        for param in SWEEPABLE_PARAMETERS:
+            spec = default_sweep_spec(
+                param, instances_per_point=2, base_seed=0, unit_cost=unit_cost
+            )
+            points, means = run_sweep(spec)
+            for fmt in ("csv", "json"):
+                emit_results(
+                    points, means, fmt,
+                    tmp_path / f"cost_{unit_cost}" / fmt / f"sweep_{param}.{fmt}",
+                    sweep_param=param, metadata=sweep_metadata(spec),
+                )
+    written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file())
+    assert written == sorted(_SWEEP_DIGESTS)
+    for name, digest in _SWEEP_DIGESTS.items():
+        actual = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert actual == digest, f"{name} changed: sha256 {actual}"
