@@ -24,6 +24,7 @@ from edgeauction import (
     run_sweep,
     sweep_metadata,
 )
+from edgeauction.experiments import DEFAULT_UNIT_COST
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -36,24 +37,20 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--unit-cost",
         type=float,
-        default=None,
-        help="override the per-unit capacity cost (default keeps the standard market)",
+        default=DEFAULT_UNIT_COST,
+        help="per-unit capacity cost (default %(default)s, the standard market)",
     )
     args = parser.parse_args(argv)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    overrides = {}
-    if args.unit_cost is not None:
-        overrides["unit_cost"] = args.unit_cost
-
     for param in SWEEPABLE_PARAMETERS:
         spec = default_sweep_spec(
             param,
             instances_per_point=args.instances,
             base_seed=args.seed,
-            **overrides,
+            unit_cost=args.unit_cost,
         )
         points, means = run_sweep(spec)
         written = emit_results(

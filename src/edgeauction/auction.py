@@ -5,23 +5,21 @@ W. Its welfare, written in terms of the submitted bids, is
 
     S(W) = (1/|W|) w(|W|) sum_{i in W} b_i - c |W|,     S(empty) = 0,
 
-with w the network-effect curve from the model module. Selection walks the
-bids in descending order and admits candidates while welfare strictly
-improves; payments charge each winner the externality it imposes, computed
+with w the network-effect curve from the model module. For a fixed size the
+highest bids maximise S, so selection takes the top-k prefix of largest
+welfare; payments charge each winner the externality it imposes, computed
 from a counterfactual run without that winner.
 
-Two independent oracles are provided for cross-checking the greedy rule:
-an exact scan over top-k prefixes and an exhaustive subset enumeration
-(the latter also evaluates rosters with non-unit demands).
+Two independent oracles are provided for cross-checking selection: an
+exact scan over top-k prefixes and an exhaustive subset enumeration (the
+latter also evaluates rosters with non-unit demands).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,7 +34,6 @@ from .model import (
 __all__ = [
     "AuctionConfig",
     "AuctionOutcome",
-    "SelectionDivergence",
     "WinnerSet",
     "welfare_of_set",
     "select_winners_greedy",
@@ -45,8 +42,6 @@ __all__ = [
     "oracle_topk",
     "oracle_exhaustive",
     "bidder_utility",
-    "compare_selection_rules",
-    "write_divergence_report",
 ]
 
 # Positions (or roster ids) of the winners, in admission order.
@@ -57,9 +52,10 @@ WinnerSet = tuple[int, ...]
 # zero from below clamp to zero, anything more negative is refused loudly.
 _RELATIVE_TOLERANCE = 1e-9
 
-# Pricing evaluates counterfactual welfare in a band of columns around the
+# Pricing reads counterfactual welfare off a band of columns around the
 # winner count m: from about m - _BAND_BEHIND (lower where _band_start cannot
-# prove the gains left of it positive) to m + _BAND_AHEAD.
+# prove the gains left of it positive) to m + _BAND_AHEAD. Rows that
+# _first_falling_row cannot prove falling right of it are read in full.
 _BAND_BEHIND = 4
 _BAND_AHEAD = 3
 
@@ -96,18 +92,6 @@ class AuctionOutcome:
     welfare: float
 
 
-@dataclass(frozen=True)
-class SelectionDivergence:
-    """Record of one instance where the greedy rule missed the top-k optimum."""
-
-    bids: tuple[float, ...]
-    capacity: int
-    greedy_winner_count: int
-    greedy_welfare: float
-    topk_winner_count: int
-    topk_welfare: float
-
-
 def _validate_bids(bids: Sequence[float]) -> list[float]:
     out = []
     for b in bids:
@@ -133,23 +117,16 @@ def welfare_of_set(bids_in_w: Iterable[float], config: AuctionConfig) -> float:
     return (1.0 / k) * w * sum(bids) - config.market.unit_cost * k
 
 
-def _first_decrease_stop(welfare_by_k: np.ndarray) -> int:
-    """Number of candidates admitted before welfare first fails to improve."""
-    gains = np.diff(np.concatenate(([0.0], welfare_by_k)))
-    blocked = np.flatnonzero(gains <= 0.0)
-    return int(blocked[0]) if blocked.size else int(welfare_by_k.size)
-
-
 @dataclass(frozen=True)
 class _Clearing:
-    """Greedy clearing of one bid vector, shared by selection and pricing."""
+    """Clearing of one bid vector, shared by selection and pricing."""
 
     order: np.ndarray         # positions into the bid vector, highest bid first
     sorted_bids: np.ndarray   # the bids in that order
     prefix: np.ndarray        # prefix[k]: sum of the k highest bids; prefix[0] = 0
     coef: np.ndarray          # w(k) / k for k = 1..min(n, capacity)
     welfare_by_k: np.ndarray  # welfare of the top-k prefix for the same k
-    m: int                    # winner count: the first-decrease stop
+    m: int                    # winner count: the first k of largest welfare
 
 
 def _clear(values: np.ndarray, config: AuctionConfig) -> _Clearing:
@@ -162,17 +139,18 @@ def _clear(values: np.ndarray, config: AuctionConfig) -> _Clearing:
     u = np.exp(-config.network.nu * kk)
     coef = (1.0 - u) / (1.0 + config.network.mu * u) / kk
     welfare_by_k = coef * prefix[1 : limit + 1] - config.market.unit_cost * kk
-    m = _first_decrease_stop(welfare_by_k)
+    # Ties go to the smaller k; k = 0 is the empty set, of welfare 0.
+    m = int(np.argmax(np.concatenate(([0.0], welfare_by_k))))
     return _Clearing(order, sorted_bids, prefix, coef, welfare_by_k, m)
 
 
 def select_winners_greedy(bids: Sequence[float], config: AuctionConfig) -> WinnerSet:
-    """Admit bidders in descending-bid order while welfare strictly improves.
+    """Select the top-k prefix of largest welfare, k up to capacity.
 
-    Ties between equal bids are broken toward the earlier position. Admission
-    also stops when all bidders are in or when capacity is reached. A
-    candidate whose inclusion leaves welfare unchanged is rejected. Returns
-    positions into the bid vector, in admission order.
+    Bids are ranked in descending order, ties toward the earlier position.
+    Among prefixes of equal welfare the shortest wins, so nobody is admitted
+    unless welfare is positive. Returns positions into the bid vector, in
+    rank order.
     """
     values = np.asarray(_validate_bids(bids), dtype=float)
     if values.size == 0:
@@ -182,14 +160,14 @@ def select_winners_greedy(bids: Sequence[float], config: AuctionConfig) -> Winne
 
 
 def _band_start(cleared: _Clearing, cost: float) -> int:
-    """Lowest column whose counterfactual gains pricing must evaluate.
+    """Lowest column up to which every counterfactual row provably rises.
 
     Row t (the winner of rank t, with bid b_t) sees the counterfactual
     prefix welfare S'_t(k) = S(k) for k <= t and
-    S'_t(k) = coef[k-1] * (prefix[k+1] - b_t) - c k above it. The gains of
-    the unchanged part are positive because t < m. Every other gain left of
-    the returned column is proven positive here in O(m):
+    S'_t(k) = coef[k-1] * (prefix[k+1] - b_t) - c k above it. Every gain
+    left of the returned column is proven positive here in O(m):
 
+    * the gains S(k) - S(k-1) of the unchanged part, compared directly;
     * the diagonal gain S'_t(t+1) - S(t), computed exactly as the scan would;
     * the gains at k >= t + 2, which equal a term independent of t plus
       b_t (coef[k-2] - coef[k-1]). Where coef strictly decreases there they
@@ -197,7 +175,7 @@ def _band_start(cleared: _Clearing, cost: float) -> int:
       whole column from below. The bound counts only when it clears the
       rounding error of two cells by a wide margin.
 
-    Returns the first column where either proof fails, else
+    Returns the first column where a proof fails, else
     max(1, m - _BAND_BEHIND).
     """
     m = cleared.m
@@ -206,8 +184,9 @@ def _band_start(cleared: _Clearing, cost: float) -> int:
     if ks.size == 0:
         return first
     coef, prefix, bids = cleared.coef, cleared.prefix, cleared.sorted_bids
+    left = np.concatenate(([0.0], cleared.welfare_by_k[: first - 2]))
     diagonal = coef[ks - 1] * (prefix[ks + 1] - bids[ks - 1]) - cost * ks
-    proven = diagonal > np.concatenate(([0.0], cleared.welfare_by_k[: first - 2]))
+    proven = (cleared.welfare_by_k[: first - 1] > left) & (diagonal > left)
     k2 = ks[1:]
     b = bids[k2 - 2]
     upper = coef[k2 - 1] * (prefix[k2 + 1] - b) - cost * k2
@@ -218,55 +197,84 @@ def _band_start(cleared: _Clearing, cost: float) -> int:
     return int(ks[failed[0]]) if failed.size else first
 
 
-def _counterfactual_welfare(cleared: _Clearing, config: AuctionConfig) -> np.ndarray:
-    """Welfare greedy selection reaches with each winner removed, by rank.
+def _first_falling_row(cleared: _Clearing, end: int, limit2: int, cost: float) -> int:
+    """Lowest rank from which every counterfactual row provably falls past end.
 
-    Every cell is the expression a literal re-run without the winner
-    evaluates, so each value is bit-identical to that re-run. A row's first
-    decrease lies above its rank and, in practice, next to m; rows are
-    scanned over a band of columns from _band_start to a few past m, and
-    rows that do not stop inside it rescan a band twice as wide beyond it,
-    up to the last feasible column. Blocks of rows stay under a fixed cell
-    budget, so memory does not grow with the roster.
+    The mirror of _band_start. Past end every cell of every row is shifted,
+    and the gain of row t at column k is a term independent of t plus
+    b_t (coef[k-2] - coef[k-1]). Where coef strictly decreases it rises with
+    b_t, so a row whose gains past end all fall below minus the margin of
+    _band_start bounds every row of a lower bid, that is of a higher rank.
+    Row 0 bounds them all; if it fails, a binary search finds the lowest
+    row that passes in O(log m) row checks. Returns m if none does.
+    """
+    m = cleared.m
+    ks = np.arange(end + 1, limit2 + 1)
+    if ks.size == 0:
+        return 0
+    coef, prefix = cleared.coef, cleared.prefix
+    if not np.all(coef[ks - 2] > coef[ks - 1]):
+        return m
+    margin = _BOUND_MARGIN * (coef[ks - 2] * prefix[ks + 1] + cost * ks)
+
+    def falls(t: int) -> bool:
+        b = cleared.sorted_bids[t]
+        upper = coef[ks - 1] * (prefix[ks + 1] - b) - cost * ks
+        lower = coef[ks - 2] * (prefix[ks] - b) - cost * (ks - 1)
+        return bool(np.all(upper - lower < -margin))
+
+    if falls(0):
+        return 0
+    # hi only ever moves to a row that passed, so the result passed or is m.
+    lo, hi = 1, m
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if falls(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _counterfactual_welfare(cleared: _Clearing, config: AuctionConfig) -> np.ndarray:
+    """Welfare selection reaches with each winner removed, by rank.
+
+    Each row's value is its largest cell, or 0 if none is positive, and
+    every cell is the expression a literal re-run without the winner
+    evaluates, so each value is bit-identical to that re-run. Every row
+    rises up to _band_start, and rows from _first_falling_row on fall past
+    m + _BAND_AHEAD, so their maxima are read off that band of columns; the
+    rows of a higher bid are read over their full length. Blocks of rows
+    stay under a fixed cell budget, so memory does not grow with the roster.
     """
     m = cleared.m
     n = cleared.sorted_bids.size
     limit2 = min(n - 1, config.market.capacity)
-    s_prime = np.zeros(m)
     if m == 0 or limit2 == 0:
-        return s_prime
+        return np.zeros(m)
     cost = config.market.unit_cost
     coef, prefix, welfare_by_k = cleared.coef, cleared.prefix, cleared.welfare_by_k
     bids = cleared.sorted_bids[:m]
 
-    def cells(rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        # S'_t(k) for the given ranks t and columns k = lo..hi, with S'_t(0) = 0.
-        ks = np.arange(max(lo, 1), hi + 1)
-        shifted = coef[ks - 1] * (prefix[ks + 1] - bids[rows, None]) - cost * ks
-        block = np.where(ks <= rows[:, None], welfare_by_k[ks - 1], shifted)
-        if lo == 0:
-            block = np.concatenate((np.zeros((rows.size, 1)), block), axis=1)
-        return block
+    def row_maxima(rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        # max(0, S'_t(k)) over k = lo..hi for each rank t in rows; lo >= 1.
+        ks = np.arange(lo, hi + 1)
+        out = np.zeros(rows.size)
+        step = max(1, _CELL_BUDGET // ks.size)
+        for i in range(0, rows.size, step):
+            t = rows[i : i + step, None]
+            shifted = coef[ks - 1] * (prefix[ks + 1] - bids[t]) - cost * ks
+            best = np.where(ks <= t, welfare_by_k[ks - 1], shifted).max(axis=1)
+            out[i : i + step] = np.where(best > 0.0, best, 0.0)
+        return out
 
-    start = _band_start(cleared, cost)
     end = min(limit2, m + _BAND_AHEAD)
-    pending = np.arange(m)
-    while pending.size:
-        step = max(1, _CELL_BUDGET // (end - start + 2))
-        unresolved = []
-        for i in range(0, pending.size, step):
-            rows = pending[i : i + step]
-            block = cells(rows, start - 1, end)
-            blocked = block[:, 1:] <= block[:, :-1]
-            hit = blocked.any(axis=1)
-            # The last admitted column, counted from start - 1.
-            col = np.where(hit, blocked.argmax(axis=1), end - start + 1)
-            done = hit | (end == limit2)
-            s_prime[rows[done]] = block[done, col[done]]
-            unresolved.append(rows[~done])
-        pending = np.concatenate(unresolved)
-        start, end = end + 1, min(limit2, end + 2 * (end - start + 1))
-    return s_prime
+    split = _first_falling_row(cleared, end, limit2, cost)
+    ranks = np.arange(m)
+    return np.concatenate((
+        row_maxima(ranks[:split], 1, limit2),
+        row_maxima(ranks[split:], max(1, _band_start(cleared, cost) - 1), end),
+    ))
 
 
 def _roster_ids(roster: Sequence[BidderProfile]) -> tuple[int, ...]:
@@ -286,7 +294,7 @@ def vcg_payment(
 ) -> float:
     """Payment of one winner: welfare the others lose by its presence.
 
-    Re-runs greedy selection on the roster without the winner to get the
+    Re-runs selection on the roster without the winner to get the
     counterfactual welfare, then subtracts the welfare of the remaining
     winners evaluated as a set of their own.
     """
@@ -327,7 +335,8 @@ def run_auction(roster: Sequence[BidderProfile], config: AuctionConfig) -> Aucti
     Only unit demands are supported; the selection and pricing rules are not
     defined for divisible requests. Selection and pricing share one
     descending sort plus prefix sums; payments match a literal re-run of
-    the selection for every winner, at O(n log n + m * band) in all.
+    the selection for every winner, at O(n log n + m * band) in all where
+    the band's certificates hold, plus O(n) for each row they do not cover.
     """
     ids = _roster_ids(roster)
     for p in roster:
@@ -383,7 +392,7 @@ def run_auction(roster: Sequence[BidderProfile], config: AuctionConfig) -> Aucti
 def oracle_topk(bids: Sequence[float], config: AuctionConfig) -> tuple[WinnerSet, float]:
     """Exact optimum over top-k prefixes, scanning every feasible k.
 
-    Ties prefer the smaller k. Independent of the greedy path: its own sort,
+    Ties prefer the smaller k. Independent of the clearing kernel: its own sort,
     a running sum of the bids and w(k) from the model for each k.
     """
     values = _validate_bids(bids)
@@ -472,39 +481,3 @@ def bidder_utility(
     k = len(outcome.winners)
     share = (1.0 / k) * network_effect(float(k), config.network)
     return share * true_value - outcome.payments[idx]
-
-
-def compare_selection_rules(
-    bids: Sequence[float], config: AuctionConfig, tolerance: float = 1e-9
-) -> SelectionDivergence | None:
-    """Check the greedy stopping rule against the exact top-k scan.
-
-    The first-decrease stop can underperform the scan when the prefix
-    welfare dips before rising again, which happens for strongly S-shaped
-    network curves. Returns None on agreement, else a full record of the
-    instance so it can be logged instead of silently dropped.
-    """
-    greedy = select_winners_greedy(bids, config)
-    greedy_welfare = welfare_of_set([bids[i] for i in greedy], config)
-    topk, topk_welfare = oracle_topk(bids, config)
-    if abs(greedy_welfare - topk_welfare) <= tolerance:
-        return None
-    return SelectionDivergence(
-        bids=tuple(float(b) for b in bids),
-        capacity=config.market.capacity,
-        greedy_winner_count=len(greedy),
-        greedy_welfare=greedy_welfare,
-        topk_winner_count=len(topk),
-        topk_welfare=topk_welfare,
-    )
-
-
-def write_divergence_report(
-    records: Sequence[SelectionDivergence], path: str | Path
-) -> Path:
-    """Dump divergence records to a JSON file and return its path."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    payload = [asdict(r) for r in records]
-    target.write_text(json.dumps(payload, indent=2) + "\n")
-    return target

@@ -72,6 +72,12 @@ RNG_FAMILY = "numpy PCG64"
 _MASK64 = (1 << 64) - 1
 
 
+def _check_user_counts(grid: Sequence[float]) -> None:
+    for g in grid:
+        if not float(g).is_integer() or g < 1:
+            raise ValueError("num_users grid values must be positive integers")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Complete, self-contained description of one sweep."""
@@ -96,9 +102,7 @@ class SweepSpec:
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("grid values must be strictly increasing")
         if self.swept_parameter == "num_users":
-            for g in self.grid:
-                if not float(g).is_integer() or g < 1:
-                    raise ValueError("num_users grid values must be positive integers")
+            _check_user_counts(self.grid)
         else:
             # BlockchainParams refuses every value the sweep could not clear.
             for g in self.grid:
@@ -167,6 +171,7 @@ def generate_instance(
 def non_binding_capacity(swept_parameter: str, grid: Sequence[float], num_users: int) -> int:
     """Capacity that never binds: the largest user count the sweep puts in play."""
     if swept_parameter == "num_users":
+        _check_user_counts(grid)
         return int(max(max(grid), num_users))
     return num_users
 

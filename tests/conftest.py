@@ -5,8 +5,7 @@ Two families of random market instances are used throughout:
   * default instances: the reference market verbatim, truthful bids from
     transaction sizes uniform on [0, 1000];
   * varied instances: every parameter log-jittered around its reference
-    value, restricted to mu <= 1 so the network curve stays concave and
-    first-decrease greedy admission is exact.
+    value, restricted to mu <= 1 so the network curve stays concave.
 """
 
 from __future__ import annotations

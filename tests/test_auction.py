@@ -1,10 +1,11 @@
 """Unit tests for winner selection, pricing and the two oracles."""
 
-import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeauction import (
     AuctionConfig,
@@ -12,7 +13,6 @@ from edgeauction import (
     MarketConfig,
     NetworkEffectParams,
     bidder_utility,
-    compare_selection_rules,
     generate_instance,
     network_effect,
     oracle_exhaustive,
@@ -21,9 +21,15 @@ from edgeauction import (
     select_winners_greedy,
     vcg_payment,
     welfare_of_set,
-    write_divergence_report,
 )
-from edgeauction.auction import _BAND_AHEAD, _BAND_BEHIND, _band_start, _clamp_payment, _clear
+from edgeauction.auction import (
+    _BAND_AHEAD,
+    _BAND_BEHIND,
+    _band_start,
+    _clamp_payment,
+    _clear,
+    _first_falling_row,
+)
 
 from conftest import (
     DEFAULT_BLOCKCHAIN,
@@ -38,20 +44,23 @@ def _config(unit_cost=0.02, capacity=3, network=DEFAULT_NETWORK):
     return AuctionConfig(market=market, network=network)
 
 
+def _first_best_prefix(welfare_by_k):
+    """Length of the first top-k prefix of largest welfare; 0 if none is positive."""
+    best_k, best = 0, 0.0
+    for k, s in enumerate(welfare_by_k, start=1):
+        if s > best:
+            best_k, best = k, s
+    return best_k
+
+
 def _reference_greedy(bids, config):
-    """Literal admission loop, kept independent of the vectorized path."""
+    """Literal scan over top-k prefixes, kept independent of the vectorized path."""
     order = sorted(range(len(bids)), key=lambda i: (-bids[i], i))
-    chosen = []
-    best = 0.0
-    for i in order:
-        if len(chosen) == config.market.capacity:
-            break
-        trial = welfare_of_set([bids[j] for j in chosen] + [bids[i]], config)
-        if trial <= best:
-            break
-        chosen.append(i)
-        best = trial
-    return tuple(chosen)
+    limit = min(len(bids), config.market.capacity)
+    welfare_by_k = [
+        welfare_of_set([bids[j] for j in order[:k]], config) for k in range(1, limit + 1)
+    ]
+    return tuple(order[: _first_best_prefix(welfare_by_k)])
 
 
 def _reference_clearing(roster, config):
@@ -59,8 +68,7 @@ def _reference_clearing(roster, config):
 
     Prices every winner by re-scanning all feasible prefix lengths of the
     roster without it, with full-length arrays: O(n) per winner. Returns
-    the payments, the welfare, the winner count and the largest
-    counterfactual stop.
+    the payments, the welfare and the winner count.
     """
     values = np.array([p.bid for p in roster], dtype=float)
     n = values.size
@@ -70,21 +78,15 @@ def _reference_clearing(roster, config):
     capacity = config.market.capacity
     cost = config.market.unit_cost
 
-    def first_decrease_stop(welfare_by_k):
-        gains = np.diff(np.concatenate(([0.0], welfare_by_k)))
-        blocked = np.flatnonzero(gains <= 0.0)
-        return int(blocked[0]) if blocked.size else int(welfare_by_k.size)
-
     limit = min(n, capacity)
     kk = np.arange(1, limit + 1, dtype=float)
     u = np.exp(-config.network.nu * kk)
     w = (1.0 - u) / (1.0 + config.network.mu * u)
     welfare_by_k = (w / kk) * prefix[1 : limit + 1] - cost * kk
-    m = first_decrease_stop(welfare_by_k)
+    m = _first_best_prefix(welfare_by_k.tolist())
     welfare = float(welfare_by_k[m - 1]) if m > 0 else 0.0
 
     payments = [0.0] * n
-    max_stop = 0
     if m > 0:
         limit2 = min(n - 1, capacity)
         kk = np.arange(1, limit2 + 1)
@@ -97,8 +99,7 @@ def _reference_clearing(roster, config):
             bid_j = float(sorted_bids[t])
             sums = np.where(kk <= t, prefix[1 : limit2 + 1], prefix[2 : limit2 + 2] - bid_j)
             s2 = (w_by_k / kk) * sums - cost * kk
-            m2 = first_decrease_stop(s2)
-            max_stop = max(max_stop, m2)
+            m2 = _first_best_prefix(s2.tolist())
             s_prime = float(s2[m2 - 1]) if m2 > 0 else 0.0
             if q > 0:
                 others = (1.0 / q) * w_q * (sum_winners - bid_j) - cost * q
@@ -106,7 +107,7 @@ def _reference_clearing(roster, config):
                 others = 0.0
             p = s_prime - others
             payments[int(order[t])] = 0.0 if p < 0.0 else p
-    return tuple(payments), welfare, m, max_stop
+    return tuple(payments), welfare, m
 
 
 # Roster families for the exactness test: (bids, mu, nu, capacity, unit cost)
@@ -141,12 +142,38 @@ def _tied_and_zero(rng):
     return rng.integers(0, 3, n).astype(float) * float(rng.integers(0, 2)), 0.5, 0.05, n, 1e-4
 
 
+def _s_shaped_hard(rng):
+    # mu up to 31 and binding capacity: the prefix welfare can fall before it
+    # peaks, and a few high bids put counterfactual peaks far past the band
+    n = int(rng.integers(10, 120))
+    bids = rng.uniform(1.0, 2.0, n)
+    bids[: int(rng.integers(0, 4))] *= 10.0 ** rng.uniform(0.5, 1.5)
+    mu, nu = 10.0 ** rng.uniform(0.5, 1.5), 10.0 ** rng.uniform(-1.5, -0.5)
+    return bids, mu, nu, int(rng.integers(1, n + 1)), 10.0 ** rng.uniform(-3, -1)
+
+
+def _all_equal(rng):
+    n = int(rng.integers(1, 60))
+    mu, nu = 10.0 ** rng.uniform(-1.3, 1), 10.0 ** rng.uniform(-2, 0)
+    return np.full(n, rng.uniform(0.1, 10.0)), mu, nu, n, 10.0 ** rng.uniform(-4, -1)
+
+
 def _whale(rng):
     # one huge bid among near-equal ones: the whale wins alone, and without
-    # it greedy admits far more bidders, beyond the first band
+    # it selection admits far more bidders, beyond the band
     n = int(rng.integers(10, 80))
     bids = rng.uniform(1.0, 1.01, n)
     bids[int(rng.integers(0, n))] = 10.0 ** rng.uniform(2, 4)
+    return bids, 0.5, 0.05, n, 1e-3
+
+
+def _two_level_whales(rng):
+    # a top whale over a few smaller ones over a crowd of near-equal bids
+    n = int(rng.integers(10, 80))
+    bids = rng.uniform(1.0, 1.01, n)
+    whales = rng.choice(n, int(rng.integers(2, 6)), replace=False)
+    bids[whales] = 10.0 ** rng.uniform(1, 2, whales.size)
+    bids[whales[0]] = 10.0 ** rng.uniform(2, 4)
     return bids, 0.5, 0.05, n, 1e-3
 
 
@@ -160,14 +187,30 @@ def _scaled(factor):
 _ROSTER_FAMILIES = {
     "typical": _typical,
     "s_shaped": _s_shaped,
+    "s_shaped_hard": _s_shaped_hard,
     "binding_capacity": _binding_capacity,
     "everyone_wins": _everyone_wins,
     "single_bidder": _single_bidder,
     "tied_and_zero": _tied_and_zero,
+    "all_equal": _all_equal,
     "whale": _whale,
+    "two_level_whales": _two_level_whales,
     "scaled_1e-9": _scaled(1e-9),
     "scaled_1e9": _scaled(1e9),
 }
+
+
+@st.composite
+def _markets(draw):
+    """Bids with ties, mu from 0.05 to 10, capacity that may bind, bids at 1e-12..1e12."""
+    n = draw(st.integers(1, 60))
+    levels = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=n))
+    scale = 10.0 ** draw(st.integers(-12, 12))
+    bids = [scale * b for b in draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))]
+    mu, nu = draw(st.floats(0.05, 10.0)), draw(st.floats(0.005, 1.0))
+    capacity = draw(st.integers(1, n))
+    cost = scale * 10.0 ** draw(st.floats(-5.0, -1.0))
+    return bids, _config(unit_cost=cost, capacity=capacity, network=NetworkEffectParams(mu, nu))
 
 
 class TestFrozenExamples:
@@ -233,6 +276,25 @@ class TestSelection:
     def test_empty_bid_vector(self):
         assert select_winners_greedy([], _config()) == ()
 
+    def test_s_shaped_curve_clears_at_the_top_k_optimum(self):
+        # with a strongly S-shaped curve (mu = 10) the prefix welfare dips
+        # below zero before it climbs: a stop at the first decrease would
+        # take nobody, while the optimum takes eight of the ten bidders
+        config = AuctionConfig(
+            market=MarketConfig(unit_cost=0.08, capacity=10, hash_exponent=1.2),
+            network=NetworkEffectParams(mu=10.0, nu=0.5),
+        )
+        bids = [1.0] * 10
+        assert welfare_of_set([1.0], config) < 0.0
+        assert select_winners_greedy(bids, config) == tuple(range(8))
+        assert oracle_topk(bids, config) == (tuple(range(8)), 0.18971648577620126)
+        roster = [BidderProfile(id=i, tx_size=0.0, demand=1.0, bid=b) for i, b in enumerate(bids)]
+        outcome = run_auction(roster, config)
+        assert outcome.welfare == 0.18971648577620126
+        for wid in outcome.winners:
+            payment = vcg_payment(wid, roster, outcome.winners, config)
+            assert outcome.payments[wid] == payment == 0.004845436077795862
+
     def test_rejects_negative_and_non_finite_bids(self):
         with pytest.raises(ValueError):
             select_winners_greedy([1.0, -0.5], _config())
@@ -257,7 +319,7 @@ class TestRunAuction:
     @pytest.mark.parametrize("family", sorted(_ROSTER_FAMILIES))
     def test_payments_and_welfare_equal_the_literal_loop(self, family):
         rng = np.random.default_rng(sorted(_ROSTER_FAMILIES).index(family))
-        lowered_band = beyond_band = winners = 0
+        lowered_band = full_rows = dips = winners = 0
         for _ in range(60):
             bids, mu, nu, capacity, cost = _ROSTER_FAMILIES[family](rng)
             roster = [
@@ -266,17 +328,39 @@ class TestRunAuction:
             ]
             config = _config(unit_cost=cost, capacity=capacity, network=NetworkEffectParams(mu, nu))
             outcome = run_auction(roster, config)
-            payments, welfare, m, max_stop = _reference_clearing(roster, config)
+            payments, welfare, m = _reference_clearing(roster, config)
             assert outcome.payments == payments
             assert outcome.welfare == welfare
             winners += m
-            lowered_band += _band_start(_clear(np.asarray(bids), config), cost) < m - _BAND_BEHIND
-            beyond_band += max_stop > m + _BAND_AHEAD
+            cleared = _clear(np.asarray(bids), config)
+            lowered_band += _band_start(cleared, cost) < m - _BAND_BEHIND
+            limit2 = min(len(bids) - 1, capacity)
+            end = min(limit2, m + _BAND_AHEAD)
+            if m > 0:
+                full_rows += _first_falling_row(cleared, end, limit2, cost)
+            # welfare falls somewhere before its peak
+            dips += bool(np.any(np.diff(cleared.welfare_by_k[:m], prepend=0.0) <= 0.0))
         assert winners > 0 or family == "tied_and_zero"
         if family == "s_shaped":
             assert lowered_band > 0
-        if family == "whale":
-            assert beyond_band > 0
+        if family in ("whale", "two_level_whales", "s_shaped_hard"):
+            assert full_rows > 0
+        if family == "s_shaped_hard":
+            assert dips > 0
+
+    @given(_markets())
+    @settings(max_examples=300, deadline=None)
+    def test_selection_is_the_top_k_optimum_and_payments_the_literal_loop(self, market):
+        bids, config = market
+        roster = [BidderProfile(id=i, tx_size=0.0, demand=1.0, bid=b) for i, b in enumerate(bids)]
+        outcome = run_auction(roster, config)
+        payments, welfare, _ = _reference_clearing(roster, config)
+        assert outcome.payments == payments
+        assert outcome.welfare == welfare
+        winners = select_winners_greedy(bids, config)
+        _, best = oracle_topk(bids, config)
+        magnitude = sum(bids) + config.market.unit_cost * len(bids)
+        assert abs(welfare_of_set([bids[i] for i in winners], config) - best) <= 1e-9 * magnitude
 
     def test_large_bids_clear_like_the_same_roster_in_small_units(self):
         # Welfare here is about 1.3e10 and its two summation orders differ
@@ -454,34 +538,15 @@ class TestOracles:
 class TestKnownLimitations:
     """Pinned counterexamples; these document behavior rather than aspire."""
 
-    def test_first_decrease_stop_misses_convex_optimum(self):
-        # with a strongly S-shaped curve (mu = 10) the prefix welfare dips
-        # below zero before climbing; greedy quits immediately while the
-        # scan finds eight profitable winners
-        config = AuctionConfig(
-            market=MarketConfig(unit_cost=0.08, capacity=10, hash_exponent=1.2),
-            network=NetworkEffectParams(mu=10.0, nu=0.5),
-        )
-        bids = [1.0] * 10
-        record = compare_selection_rules(bids, config)
-        assert record is not None
-        assert record.greedy_winner_count == 0
-        assert record.topk_winner_count == 8
-        assert record.topk_welfare == pytest.approx(0.18971648577620126, abs=1e-12)
-        assert record.topk_welfare - record.greedy_welfare > 0.18
-
-    def test_compare_selection_rules_agrees_in_concave_regime(self):
-        rng = np.random.default_rng(2718)
-        for _ in range(200):
-            roster, config = sample_varied_instance(rng)
-            assert compare_selection_rules([p.bid for p in roster], config) is None
-
     def test_counterfactual_payment_can_underprice_a_pivotal_misreport(self):
         # true value 4 loses against (10, 8): a third winner drags welfare
-        # down. Misreporting 7 flips the sign of that marginal effect, wins
-        # a seat, and the counterfactual payment is 0, so the deviation
-        # strictly profits. The pricing rule is therefore not truthful in
-        # general.
+        # down. Misreporting 7 flips the sign of that marginal effect and
+        # wins a seat. The payment is 0 because its "others" term prices the
+        # other winners as a set of their own, at w(m-1)/(m-1) and cost
+        # c (m-1): that is S({10, 8}) = 0.019899668056836406, which is also
+        # the counterfactual welfare S', although the seat the misreport
+        # takes lowers what (10, 8) realize. The deviation strictly profits,
+        # so the pricing rule is not truthful in general.
         config = _config(capacity=3)
         others = [
             BidderProfile(id=0, tx_size=0.0, demand=1.0, bid=10.0),
@@ -501,19 +566,6 @@ class TestKnownLimitations:
         gain = bidder_utility(2, 4.0, misreport, config)
         assert gain == pytest.approx(0.013299834376432843, abs=1e-14)
         assert gain > 0.0
-
-
-def test_write_divergence_report(tmp_path):
-    config = AuctionConfig(
-        market=MarketConfig(unit_cost=0.08, capacity=10, hash_exponent=1.2),
-        network=NetworkEffectParams(mu=10.0, nu=0.5),
-    )
-    record = compare_selection_rules([1.0] * 10, config)
-    path = write_divergence_report([record], tmp_path / "divergences.json")
-    data = json.loads(path.read_text())
-    assert len(data) == 1
-    assert data[0]["topk_winner_count"] == 8
-    assert data[0]["bids"] == [1.0] * 10
 
 
 def test_bidder_utility_of_loser_is_zero():

@@ -1,9 +1,11 @@
 """Unit tests for the sweep harness: seeding, aggregation, serialization."""
 
 import hashlib
+import importlib.util
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,8 +91,9 @@ class TestSweepSpec:
             default_sweep_spec("fee_rate", grid=(0.2, 0.1))
 
     def test_users_grid_must_be_integral(self):
-        with pytest.raises(ValueError, match="positive integers"):
-            default_sweep_spec("num_users", grid=(10.5, 20.0))
+        for grid in ((10.5, 20.0), (100, math.inf), (math.nan, 100)):
+            with pytest.raises(ValueError, match="positive integers"):
+                default_sweep_spec("num_users", grid=grid)
         spec = default_sweep_spec("num_users", instances_per_point=1)
         for grid in ((0, 10), (10, math.inf), (math.nan,)):
             with pytest.raises(ValueError, match="positive integers"):
@@ -336,3 +339,25 @@ def test_default_sweep_bytes_match_recorded_digests(tmp_path):
     for name, digest in _SWEEP_DIGESTS.items():
         actual = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert actual == digest, f"{name} changed: sha256 {actual}"
+
+
+def test_run_sweeps_script_writes_the_emitted_files(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_sweeps.py"
+    loader = importlib.util.spec_from_file_location("run_sweeps", script)
+    run_sweeps = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(run_sweeps)
+    by_script, direct = tmp_path / "script", tmp_path / "direct"
+    argv = ["--out-dir", str(by_script), "--instances", "1", "--unit-cost", "0.001"]
+    assert run_sweeps.main(argv) == 0
+    for param in SWEEPABLE_PARAMETERS:
+        spec = default_sweep_spec(param, instances_per_point=1, base_seed=0, unit_cost=0.001)
+        points, means = run_sweep(spec)
+        emit_results(
+            points, means, "csv", direct / f"sweep_{param}.csv",
+            sweep_param=param, metadata=sweep_metadata(spec),
+        )
+    written = sorted(p.name for p in by_script.iterdir())
+    assert len(written) == 12
+    assert written == sorted(p.name for p in direct.iterdir())
+    for name in written:
+        assert (by_script / name).read_bytes() == (direct / name).read_bytes()
