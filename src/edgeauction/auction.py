@@ -8,7 +8,10 @@ W. Its welfare, written in terms of the submitted bids, is
 with w the network-effect curve from the model module. For a fixed size the
 highest bids maximise S, so selection takes the top-k prefix of largest
 welfare; payments charge each winner the externality it imposes, computed
-from a counterfactual run without that winner.
+from a counterfactual run without that winner. The counterfactual without
+the highest bid bounds every other one from below, and the prefix welfare
+bounds each from above, so all of them are read off the few columns where
+the prefix welfare reaches that lower bound.
 
 Two independent oracles are provided for cross-checking selection: an
 exact scan over top-k prefixes and an exhaustive subset enumeration (the
@@ -52,16 +55,12 @@ WinnerSet = tuple[int, ...]
 # zero from below clamp to zero, anything more negative is refused loudly.
 _RELATIVE_TOLERANCE = 1e-9
 
-# Pricing reads counterfactual welfare off a band of columns around the
-# winner count m: from about m - _BAND_BEHIND (lower where _band_start cannot
-# prove the gains left of it positive) to m + _BAND_AHEAD. Rows that
-# _first_falling_row cannot prove falling right of it are read in full.
-_BAND_BEHIND = 4
-_BAND_AHEAD = 3
-
-# A proven gain must exceed this multiple of the magnitude of its cells,
-# which bounds their rounding error many times over.
+# The dominance bound of _counterfactual_welfare holds within rounding:
+# relatively within this multiple of the magnitude of its cells, which bounds
+# their error many times over, and absolutely within a few units of the
+# smallest subnormal, where rounding stops being relative.
 _BOUND_MARGIN = 64 * np.finfo(float).eps
+_SUBNORMAL_MARGIN = 4 * np.finfo(float).smallest_subnormal
 
 # Cells per block of counterfactual rows: about 2 MB per temporary array.
 _CELL_BUDGET = 1 << 18
@@ -133,7 +132,10 @@ def _clear(values: np.ndarray, config: AuctionConfig) -> _Clearing:
     # Stable sort keeps submission order among equal bids.
     order = np.argsort(-values, kind="stable")
     sorted_bids = values[order]
-    prefix = np.concatenate(([0.0], np.cumsum(sorted_bids)))
+    with np.errstate(over="ignore"):  # refused just below
+        prefix = np.concatenate(([0.0], np.cumsum(sorted_bids)))
+    if not math.isfinite(prefix[-1]):
+        raise ValueError("bids overflow: their sum is not finite")
     limit = min(values.size, config.market.capacity)
     kk = np.arange(1, limit + 1, dtype=float)
     u = np.exp(-config.network.nu * kk)
@@ -159,92 +161,17 @@ def select_winners_greedy(bids: Sequence[float], config: AuctionConfig) -> Winne
     return tuple(cleared.order[: cleared.m].tolist())
 
 
-def _band_start(cleared: _Clearing, cost: float) -> int:
-    """Lowest column up to which every counterfactual row provably rises.
-
-    Row t (the winner of rank t, with bid b_t) sees the counterfactual
-    prefix welfare S'_t(k) = S(k) for k <= t and
-    S'_t(k) = coef[k-1] * (prefix[k+1] - b_t) - c k above it. Every gain
-    left of the returned column is proven positive here in O(m):
-
-    * the gains S(k) - S(k-1) of the unchanged part, compared directly;
-    * the diagonal gain S'_t(t+1) - S(t), computed exactly as the scan would;
-    * the gains at k >= t + 2, which equal a term independent of t plus
-      b_t (coef[k-2] - coef[k-1]). Where coef strictly decreases there they
-      rise with b_t, and bids descend with rank, so row k - 2 bounds its
-      whole column from below. The bound counts only when it clears the
-      rounding error of two cells by a wide margin.
-
-    Returns the first column where a proof fails, else
-    max(1, m - _BAND_BEHIND).
-    """
-    m = cleared.m
-    first = max(1, m - _BAND_BEHIND)
-    ks = np.arange(1, first)
-    if ks.size == 0:
-        return first
-    coef, prefix, bids = cleared.coef, cleared.prefix, cleared.sorted_bids
-    left = np.concatenate(([0.0], cleared.welfare_by_k[: first - 2]))
-    diagonal = coef[ks - 1] * (prefix[ks + 1] - bids[ks - 1]) - cost * ks
-    proven = (cleared.welfare_by_k[: first - 1] > left) & (diagonal > left)
-    k2 = ks[1:]
-    b = bids[k2 - 2]
-    upper = coef[k2 - 1] * (prefix[k2 + 1] - b) - cost * k2
-    lower = coef[k2 - 2] * (prefix[k2] - b) - cost * (k2 - 1)
-    scale = coef[k2 - 2] * prefix[k2 + 1] + cost * k2
-    proven[1:] &= (coef[k2 - 2] > coef[k2 - 1]) & (upper - lower > _BOUND_MARGIN * scale)
-    failed = np.flatnonzero(~proven)
-    return int(ks[failed[0]]) if failed.size else first
-
-
-def _first_falling_row(cleared: _Clearing, end: int, limit2: int, cost: float) -> int:
-    """Lowest rank from which every counterfactual row provably falls past end.
-
-    The mirror of _band_start. Past end every cell of every row is shifted,
-    and the gain of row t at column k is a term independent of t plus
-    b_t (coef[k-2] - coef[k-1]). Where coef strictly decreases it rises with
-    b_t, so a row whose gains past end all fall below minus the margin of
-    _band_start bounds every row of a lower bid, that is of a higher rank.
-    Row 0 bounds them all; if it fails, a binary search finds the lowest
-    row that passes in O(log m) row checks. Returns m if none does.
-    """
-    m = cleared.m
-    ks = np.arange(end + 1, limit2 + 1)
-    if ks.size == 0:
-        return 0
-    coef, prefix = cleared.coef, cleared.prefix
-    if not np.all(coef[ks - 2] > coef[ks - 1]):
-        return m
-    margin = _BOUND_MARGIN * (coef[ks - 2] * prefix[ks + 1] + cost * ks)
-
-    def falls(t: int) -> bool:
-        b = cleared.sorted_bids[t]
-        upper = coef[ks - 1] * (prefix[ks + 1] - b) - cost * ks
-        lower = coef[ks - 2] * (prefix[ks] - b) - cost * (ks - 1)
-        return bool(np.all(upper - lower < -margin))
-
-    if falls(0):
-        return 0
-    # hi only ever moves to a row that passed, so the result passed or is m.
-    lo, hi = 1, m
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if falls(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def _counterfactual_welfare(cleared: _Clearing, config: AuctionConfig) -> np.ndarray:
     """Welfare selection reaches with each winner removed, by rank.
 
     Each row's value is its largest cell, or 0 if none is positive, and
     every cell is the expression a literal re-run without the winner
-    evaluates, so each value is bit-identical to that re-run. Every row
-    rises up to _band_start, and rows from _first_falling_row on fall past
-    m + _BAND_AHEAD, so their maxima are read off that band of columns; the
-    rows of a higher bid are read over their full length. Blocks of rows
+    evaluates, so each value is bit-identical to that re-run. Row t's cells
+    C_t(k) obey C_0(k) <= C_t(k) <= S(k), with S the top-k prefix welfare:
+    row 0 drops the highest bid, and dropping one bid from the top k + 1
+    leaves at most the top k. So a positive row maximum sits at a column
+    whose S(k) reaches R_0, row 0's maximum floored at 0, and only those
+    columns are read: O(n + m |K|) for the set K of them. Blocks of rows
     stay under a fixed cell budget, so memory does not grow with the roster.
     """
     m = cleared.m
@@ -256,9 +183,8 @@ def _counterfactual_welfare(cleared: _Clearing, config: AuctionConfig) -> np.nda
     coef, prefix, welfare_by_k = cleared.coef, cleared.prefix, cleared.welfare_by_k
     bids = cleared.sorted_bids[:m]
 
-    def row_maxima(rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        # max(0, S'_t(k)) over k = lo..hi for each rank t in rows; lo >= 1.
-        ks = np.arange(lo, hi + 1)
+    def row_maxima(rows: np.ndarray, ks: np.ndarray) -> np.ndarray:
+        # max(0, S'_t(k)) over the columns ks (all >= 1) for each rank t in rows.
         out = np.zeros(rows.size)
         step = max(1, _CELL_BUDGET // ks.size)
         for i in range(0, rows.size, step):
@@ -268,13 +194,13 @@ def _counterfactual_welfare(cleared: _Clearing, config: AuctionConfig) -> np.nda
             out[i : i + step] = np.where(best > 0.0, best, 0.0)
         return out
 
-    end = min(limit2, m + _BAND_AHEAD)
-    split = _first_falling_row(cleared, end, limit2, cost)
-    ranks = np.arange(m)
-    return np.concatenate((
-        row_maxima(ranks[:split], 1, limit2),
-        row_maxima(ranks[split:], max(1, _band_start(cleared, cost) - 1), end),
-    ))
+    every = np.arange(1, limit2 + 1)
+    floor = row_maxima(np.zeros(1, dtype=int), every)[0]
+    scale = np.max(coef[:limit2] * prefix[2 : limit2 + 2] + cost * every)
+    ks = every[welfare_by_k[:limit2] >= floor - (_BOUND_MARGIN * scale + _SUBNORMAL_MARGIN)]
+    if ks.size == 0:
+        return np.zeros(m)
+    return row_maxima(np.arange(m), ks)
 
 
 def _roster_ids(roster: Sequence[BidderProfile]) -> tuple[int, ...]:
@@ -333,10 +259,11 @@ def run_auction(roster: Sequence[BidderProfile], config: AuctionConfig) -> Aucti
     """Clear one auction: select winners, price every winner, assemble the outcome.
 
     Only unit demands are supported; the selection and pricing rules are not
-    defined for divisible requests. Selection and pricing share one
-    descending sort plus prefix sums; payments match a literal re-run of
-    the selection for every winner, at O(n log n + m * band) in all where
-    the band's certificates hold, plus O(n) for each row they do not cover.
+    defined for divisible requests, and bids whose sum overflows are refused.
+    Selection and pricing share one descending sort plus prefix sums;
+    payments match a literal re-run of the selection for every winner, at
+    O(n log n + m |K|) in all, where K is the set of columns the dominance
+    bound of _counterfactual_welfare leaves to read.
     """
     ids = _roster_ids(roster)
     for p in roster:

@@ -173,9 +173,11 @@ def _cmd_experiment_sweep(args: argparse.Namespace) -> int:
     num_users = config.get("num_users")
     if isinstance(num_users, bool) or not isinstance(num_users, int):
         raise CliError("num_users must be an integer")
-    blockchain, network, market = _build_parts(
-        config, non_binding_capacity(param, grid, num_users)
-    )
+    try:
+        capacity = non_binding_capacity(param, grid, num_users)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+    blockchain, network, market = _build_parts(config, capacity)
 
     try:
         spec = SweepSpec(

@@ -72,12 +72,6 @@ RNG_FAMILY = "numpy PCG64"
 _MASK64 = (1 << 64) - 1
 
 
-def _check_user_counts(grid: Sequence[float]) -> None:
-    for g in grid:
-        if not float(g).is_integer() or g < 1:
-            raise ValueError("num_users grid values must be positive integers")
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """Complete, self-contained description of one sweep."""
@@ -101,14 +95,12 @@ class SweepSpec:
             raise ValueError("grid must be non-empty")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("grid values must be strictly increasing")
-        if self.swept_parameter == "num_users":
-            _check_user_counts(self.grid)
-        else:
+        # Refuses a user count below 1, in num_users or in a user-count grid.
+        non_binding_capacity(self.swept_parameter, self.grid, self.num_users)
+        if self.swept_parameter != "num_users":
             # BlockchainParams refuses every value the sweep could not clear.
             for g in self.grid:
                 replace(self.blockchain, **{self.swept_parameter: float(g)})
-        if self.num_users < 1:
-            raise ValueError("num_users must be >= 1")
         if self.instances_per_point < 1:
             raise ValueError("instances_per_point must be >= 1")
         if not 0 <= self.base_seed <= _MASK64:
@@ -169,11 +161,17 @@ def generate_instance(
 
 
 def non_binding_capacity(swept_parameter: str, grid: Sequence[float], num_users: int) -> int:
-    """Capacity that never binds: the largest user count the sweep puts in play."""
-    if swept_parameter == "num_users":
-        _check_user_counts(grid)
-        return int(max(max(grid), num_users))
-    return num_users
+    """Capacity that never binds: the largest user count the sweep puts in play.
+
+    Refuses a user count below 1, whether num_users or a user-count grid value.
+    """
+    if num_users < 1:
+        raise ValueError("num_users must be >= 1")
+    if swept_parameter != "num_users":
+        return num_users
+    if any(not float(g).is_integer() or g < 1 for g in grid):
+        raise ValueError("num_users grid values must be positive integers")
+    return int(max(max(grid), num_users))
 
 
 def default_sweep_spec(

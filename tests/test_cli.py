@@ -139,6 +139,19 @@ class TestAuctionRun:
         assert code == 1
         assert "unit demands" in capsys.readouterr().err
 
+    def test_bids_whose_sum_overflows_are_one_error_line(self, tmp_path, config_path, capsys):
+        path = tmp_path / "bids.json"
+        path.write_text(json.dumps([
+            {"id": i, "tx_size": 1.0, "demand": 1.0, "bid": b}
+            for i, b in enumerate([1e308, 1e308, 1.0])
+        ]))
+        out = tmp_path / "o.json"
+        code = main(["auction", "run", "--bids", str(path),
+                     "--config", str(config_path), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: bids overflow: their sum is not finite\n"
+        assert not out.exists()
+
 
 class TestExperimentSweep:
     def test_csv_output(self, tmp_path, config_path, capsys):
@@ -239,18 +252,27 @@ class TestExperimentSweep:
         assert "increasing" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "grid, reason",
-        [("0,100", "must be > 0"), ("0.001,inf", "must be finite"), ("nan", "must be finite")],
-        ids=["zero", "inf", "nan"],
+        "param, grid, num_users, message",
+        [
+            ("lambda", "0,100", 10, "mean_block_interval must be > 0"),
+            ("lambda", "0.001,inf", 10, "mean_block_interval must be finite"),
+            ("lambda", "nan", 10, "mean_block_interval must be finite"),
+            ("users", "0,100", 10, "num_users grid values must be positive integers"),
+            ("users", "-5,10", 10, "num_users grid values must be positive integers"),
+            ("bonus", "1,2", 0, "num_users must be >= 1"),
+        ],
+        ids=["zero", "inf", "nan", "zero_users", "negative_users", "zero_num_users"],
     )
     def test_grid_value_the_market_refuses_is_one_error_line(
-        self, tmp_path, config_path, capsys, grid, reason
+        self, tmp_path, capsys, param, grid, num_users, message
     ):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(dict(GOOD_CONFIG, num_users=num_users)))
         code = main([
             "experiment", "sweep",
-            "--param", "lambda",
+            "--param", param,
             "--config", str(config_path),
-            "--grid", grid,
+            f"--grid={grid}",
             "--instances", "1",
             "--seed", "1",
             "--out", str(tmp_path / "s.csv"),
@@ -258,7 +280,7 @@ class TestExperimentSweep:
         ])
         assert code == 1
         err = capsys.readouterr().err
-        assert err == f"error: mean_block_interval {reason}\n"
+        assert err == f"error: {message}\n"
         assert not (tmp_path / "s.csv").exists()
 
     def test_unknown_param_is_an_argparse_error(self, tmp_path, config_path):
