@@ -7,7 +7,7 @@ market. Results land in --out-dir as per-instance CSVs plus *_means.csv and
 *_meta.json siblings.
 
 The default market prices capacity above what any single miner's valuation
-can cover, so the cleared welfare is zero across most grids. Pass a smaller
+can cover, so the cleared welfare is zero on every default grid. Pass a smaller
 --unit-cost (for example 0.001) to see an allocating regime.
 """
 

@@ -128,12 +128,14 @@ class _Clearing:
     m: int                    # winner count: the first k of largest welfare
 
 
+# Overflow is silent here: a prefix sum past the float range is refused, and
+# a cost c*k past it makes that prefix's welfare -inf, which no argmax picks.
+@np.errstate(over="ignore")
 def _clear(values: np.ndarray, config: AuctionConfig) -> _Clearing:
     # Stable sort keeps submission order among equal bids.
     order = np.argsort(-values, kind="stable")
     sorted_bids = values[order]
-    with np.errstate(over="ignore"):  # refused just below
-        prefix = np.concatenate(([0.0], np.cumsum(sorted_bids)))
+    prefix = np.concatenate(([0.0], np.cumsum(sorted_bids)))
     if not math.isfinite(prefix[-1]):
         raise ValueError("bids overflow: their sum is not finite")
     limit = min(values.size, config.market.capacity)
@@ -155,12 +157,11 @@ def select_winners_greedy(bids: Sequence[float], config: AuctionConfig) -> Winne
     rank order.
     """
     values = np.asarray(_validate_bids(bids), dtype=float)
-    if values.size == 0:
-        return ()
     cleared = _clear(values, config)
     return tuple(cleared.order[: cleared.m].tolist())
 
 
+@np.errstate(over="ignore")  # as in _clear; an infinite scale keeps every column
 def _counterfactual_welfare(cleared: _Clearing, config: AuctionConfig) -> np.ndarray:
     """Welfare selection reaches with each winner removed, by rank.
 
@@ -272,9 +273,6 @@ def run_auction(roster: Sequence[BidderProfile], config: AuctionConfig) -> Aucti
                 f"bidder {p.id} demands {p.demand} units; the auction requires unit demands"
             )
     n = len(roster)
-    if n == 0:
-        return AuctionOutcome(ids=(), allocation=(), payments=(), winners=(), welfare=0.0)
-
     # BidderProfile has already refused every bid that is not finite and >= 0.
     values = np.array([p.bid for p in roster], dtype=float)
     cleared = _clear(values, config)
@@ -358,9 +356,6 @@ def oracle_exhaustive(
             f"exhaustive enumeration over {n} bidders refused (limit {_MAX_EXHAUSTIVE_BIDDERS})"
         )
     ids = _roster_ids(roster)
-    if n == 0:
-        return (), 0.0
-
     demands = np.array([p.demand for p in roster], dtype=float)
     bids = np.array([p.bid for p in roster], dtype=float)
     weights = demands ** config.market.hash_exponent

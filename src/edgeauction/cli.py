@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .auction import AuctionConfig, run_auction
@@ -35,18 +36,9 @@ from .model import (
 
 __all__ = ["main"]
 
-_CONFIG_KEYS = (
-    "fixed_bonus",
-    "fee_rate",
-    "mean_block_interval",
-    "propagation_coeff",
-    "mu",
-    "nu",
-    "unit_cost",
-    "capacity",
-    "hash_exponent",
-    "num_users",
-)
+# A config file holds the fields of these parts, in this order, plus num_users.
+_PARTS = (BlockchainParams, NetworkEffectParams, MarketConfig)
+_CONFIG_KEYS = (*(f.name for part in _PARTS for f in fields(part)), "num_users")
 
 # capacity may be omitted or null; it then defaults to the number of users
 # so the resource constraint never binds.
@@ -89,23 +81,22 @@ def _load_config(path: str) -> dict:
 
 
 def _build_parts(config: dict, default_capacity: int) -> tuple[BlockchainParams, NetworkEffectParams, MarketConfig]:
+    """Build each part of _PARTS from its fields, in order, so the first bad value is reported.
+
+    Every field is a float except capacity, passed as given for MarketConfig to type-check.
+    """
     capacity = config.get("capacity")
+    values = dict(config, capacity=default_capacity if capacity is None else capacity)
     try:
-        blockchain = BlockchainParams(
-            fixed_bonus=float(config["fixed_bonus"]),
-            fee_rate=float(config["fee_rate"]),
-            mean_block_interval=float(config["mean_block_interval"]),
-            propagation_coeff=float(config["propagation_coeff"]),
-        )
-        network = NetworkEffectParams(mu=float(config["mu"]), nu=float(config["nu"]))
-        market = MarketConfig(
-            unit_cost=float(config["unit_cost"]),
-            capacity=default_capacity if capacity is None else capacity,
-            hash_exponent=float(config["hash_exponent"]),
+        return tuple(
+            part(**{
+                f.name: values[f.name] if f.name == "capacity" else float(values[f.name])
+                for f in fields(part)
+            })
+            for part in _PARTS
         )
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid config value: {exc}") from None
-    return blockchain, network, market
 
 
 def _cmd_auction_run(args: argparse.Namespace) -> int:
@@ -137,13 +128,7 @@ def _cmd_auction_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
-    payload = {
-        "ids": list(outcome.ids),
-        "allocation": list(outcome.allocation),
-        "payments": list(outcome.payments),
-        "winners": list(outcome.winners),
-        "welfare": outcome.welfare,
-    }
+    payload = {f.name: getattr(outcome, f.name) for f in fields(outcome)}
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(payload, indent=2) + "\n")
@@ -151,24 +136,20 @@ def _cmd_auction_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_grid(raw: str, param: str) -> tuple[float, ...]:
+def _parse_grid(raw: str) -> tuple[float, ...]:
     try:
-        values = [float(part) for part in raw.split(",") if part.strip()]
+        values = tuple(float(part) for part in raw.split(",") if part.strip())
     except ValueError:
         raise CliError(f"grid must be a comma-separated list of numbers, got {raw!r}") from None
     if not values:
         raise CliError("grid is empty")
-    if param == "num_users":
-        if any(not v.is_integer() for v in values):
-            raise CliError("user-count grid values must be integers")
-        return tuple(int(v) for v in values)
-    return tuple(values)
+    return values
 
 
 def _cmd_experiment_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     param = _PARAM_ALIASES[args.param]
-    grid = _parse_grid(args.grid, param)
+    grid = _parse_grid(args.grid)
 
     num_users = config.get("num_users")
     if isinstance(num_users, bool) or not isinstance(num_users, int):
@@ -177,6 +158,9 @@ def _cmd_experiment_sweep(args: argparse.Namespace) -> int:
         capacity = non_binding_capacity(param, grid, num_users)
     except ValueError as exc:
         raise CliError(str(exc)) from None
+    if param == "num_users":
+        # accepted as integral just above; ints are written as 100, not 100.0
+        grid = tuple(int(g) for g in grid)
     blockchain, network, market = _build_parts(config, capacity)
 
     try:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -48,8 +48,6 @@ __all__ = [
     "emit_results",
 ]
 
-SWEEPABLE_PARAMETERS = ("num_users", "fixed_bonus", "fee_rate", "mean_block_interval")
-
 # Reference market used throughout the experiments and as CLI defaults.
 DEFAULT_BLOCKCHAIN = BlockchainParams(
     fixed_bonus=2.5, fee_rate=0.007, mean_block_interval=600.0, propagation_coeff=1.0
@@ -65,6 +63,8 @@ DEFAULT_GRIDS: dict[str, tuple[float, ...]] = {
     "fee_rate": (0.001, 0.002, 0.003, 0.004, 0.005, 0.006, 0.007, 0.008, 0.009),
     "mean_block_interval": (100.0, 312.5, 525.0, 737.5, 950.0, 1162.5, 1375.0, 1587.5, 1800.0),
 }
+# A sweep varies one of the parameters that has a default grid.
+SWEEPABLE_PARAMETERS = tuple(DEFAULT_GRIDS)
 
 # Recorded in every result file so the stream stays reproducible.
 RNG_FAMILY = "numpy PCG64"
@@ -262,15 +262,9 @@ def sweep_metadata(spec: SweepSpec) -> dict:
         "instances_per_point": spec.instances_per_point,
         "base_seed": spec.base_seed,
         "num_users": spec.num_users,
-        "fixed_bonus": spec.blockchain.fixed_bonus,
-        "fee_rate": spec.blockchain.fee_rate,
-        "mean_block_interval": spec.blockchain.mean_block_interval,
-        "propagation_coeff": spec.blockchain.propagation_coeff,
-        "mu": spec.network.mu,
-        "nu": spec.network.nu,
-        "unit_cost": spec.market.unit_cost,
-        "capacity": spec.market.capacity,
-        "hash_exponent": spec.market.hash_exponent,
+        **asdict(spec.blockchain),
+        **asdict(spec.network),
+        **asdict(spec.market),
     }
 
 

@@ -223,9 +223,9 @@ class TestFrozenExamples:
             0.0031742132880560048, abs=1e-15
         )
 
-    def test_greedy_stops_at_first_welfare_decrease(self):
-        # the third bid drags welfare from 0.0199 down to 0.0032, so the
-        # admission loop stops after two winners
+    def test_selection_takes_the_prefix_of_largest_welfare(self):
+        # the top-k prefixes have welfare 0.0133, 0.0199 and 0.0032, so the
+        # argmax picks k = 2 (0.0199 > 0.0133 > 0.0032)
         winners = select_winners_greedy([10.0, 8.0, 1.0], _config())
         assert winners == (0, 1)
 
@@ -377,6 +377,29 @@ class TestRunAuction:
             run_auction(roster, _config())
         with pytest.raises(ValueError, match="overflow"):
             select_winners_greedy([p.bid for p in roster], _config())
+
+    @pytest.mark.parametrize(
+        "bids, nu, winners, welfare",
+        [
+            ([1.0, 1.0, 1.0], 0.005, (), 0.0),
+            ([1.7e308, 1e306, 1e305], 10.0, (0,), 6.998842328070169e307),
+        ],
+        ids=["nobody_wins", "one_winner"],
+    )
+    def test_unit_cost_whose_multiples_overflow_reads_as_minus_infinity(
+        self, bids, nu, winners, welfare
+    ):
+        # c*k past the float range makes those prefixes -inf welfare, without
+        # a numpy warning, which the test configuration turns into an error
+        config = _config(unit_cost=1e308, capacity=3, network=NetworkEffectParams(0.5, nu))
+        roster = [BidderProfile(id=i, tx_size=0.0, demand=1.0, bid=b) for i, b in enumerate(bids)]
+        outcome = run_auction(roster, config)
+        assert outcome.winners == winners
+        assert outcome.welfare == welfare
+        assert outcome.payments == (0.0, 0.0, 0.0)
+        assert oracle_topk(bids, config) == (winners, welfare)
+        for wid in winners:
+            assert vcg_payment(wid, roster, winners, config) == outcome.payments[wid]
 
     def test_large_bids_clear_like_the_same_roster_in_small_units(self):
         # Welfare here is about 1.3e10 and its two summation orders differ

@@ -56,6 +56,28 @@ class TestAuctionRun:
         assert payload["winners"]
         assert "winners" in capsys.readouterr().out
 
+    def test_outcome_file_bytes(self, tmp_path):
+        # ids out of rank order and a binding capacity, so the file holds a
+        # loser, winners in admission order and positive payments
+        bids = tmp_path / "bids.json"
+        bids.write_text(json.dumps([
+            {"id": 4, "tx_size": 400.0, "demand": 1.0, "bid": 2.0},
+            {"id": 9, "tx_size": 100.0, "demand": 1.0, "bid": 3.0},
+            {"id": 2, "tx_size": 900.0, "demand": 1.0, "bid": 0.5},
+        ]))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(GOOD_CONFIG, capacity=2)))
+        out = tmp_path / "outcome.json"
+        assert main(["auction", "run", "--bids", str(bids),
+                     "--config", str(config), "--out", str(out)]) == 0
+        assert out.read_text() == (
+            '{\n  "ids": [\n    4,\n    9,\n    2\n  ],\n'
+            '  "allocation": [\n    1,\n    1,\n    0\n  ],\n'
+            '  "payments": [\n    0.0006555048709919499,\n    0.000658296470076457,\n    0.0\n  ],\n'
+            '  "winners": [\n    9,\n    4\n  ],\n'
+            '  "welfare": 0.014638796682454746\n}\n'
+        )
+
     def test_capacity_defaults_to_roster_size(self, tmp_path, bids_path):
         # same config plus an explicit binding capacity must change the outcome
         # and an explicit null capacity means the default
@@ -96,24 +118,25 @@ class TestAuctionRun:
         assert err.count("\n") == 1
 
     def test_missing_config_key(self, tmp_path, bids_path, capsys):
-        broken = {k: v for k, v in GOOD_CONFIG.items() if k != "mu"}
+        # missing keys are listed in config order, whatever order they go in
+        broken = {k: v for k, v in GOOD_CONFIG.items() if k not in ("num_users", "mu", "fixed_bonus")}
         path = tmp_path / "config.json"
         path.write_text(json.dumps(broken))
         code = main(["auction", "run", "--bids", str(bids_path),
                      "--config", str(path), "--out", str(tmp_path / "o.json")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "mu" in err
+        assert err == f"error: {path}: config missing keys: fixed_bonus, mu, num_users\n"
 
     def test_unknown_config_key(self, tmp_path, bids_path, capsys):
-        broken = dict(GOOD_CONFIG, discount=0.5)
+        broken = dict(GOOD_CONFIG, discount=0.5, alpha=1.0)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(broken))
         code = main(["auction", "run", "--bids", str(bids_path),
                      "--config", str(path), "--out", str(tmp_path / "o.json")])
         assert code == 1
-        assert "discount" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: unknown config keys: alpha, discount\n"
 
     def test_missing_bids_file(self, tmp_path, config_path, capsys):
         code = main(["auction", "run", "--bids", str(tmp_path / "nope.json"),
@@ -151,6 +174,23 @@ class TestAuctionRun:
         assert code == 1
         assert capsys.readouterr().err == "error: bids overflow: their sum is not finite\n"
         assert not out.exists()
+
+    def test_unit_cost_whose_multiples_overflow_clears_silently(self, tmp_path, capsys):
+        # c*k past the float range reads as -inf welfare: nobody wins, no warning
+        bids = tmp_path / "bids.json"
+        bids.write_text(json.dumps([
+            {"id": i, "tx_size": 1.0, "demand": 1.0, "bid": 1.0} for i in range(3)
+        ]))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(GOOD_CONFIG, unit_cost=1e308, capacity=3)))
+        out = tmp_path / "o.json"
+        code = main(["auction", "run", "--bids", str(bids),
+                     "--config", str(config), "--out", str(out)])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == "cleared 3 bids: 0 winners, welfare 0.0\n"
+        assert json.loads(out.read_text())["winners"] == []
 
 
 class TestExperimentSweep:
@@ -259,9 +299,10 @@ class TestExperimentSweep:
             ("lambda", "nan", 10, "mean_block_interval must be finite"),
             ("users", "0,100", 10, "num_users grid values must be positive integers"),
             ("users", "-5,10", 10, "num_users grid values must be positive integers"),
+            ("users", "1.5,2", 10, "num_users grid values must be positive integers"),
             ("bonus", "1,2", 0, "num_users must be >= 1"),
         ],
-        ids=["zero", "inf", "nan", "zero_users", "negative_users", "zero_num_users"],
+        ids=["zero", "inf", "nan", "zero_users", "negative_users", "fractional_users", "zero_num_users"],
     )
     def test_grid_value_the_market_refuses_is_one_error_line(
         self, tmp_path, capsys, param, grid, num_users, message
