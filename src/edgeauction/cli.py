@@ -6,8 +6,9 @@ Three subcommands:
     edgeauction experiment sweep run a seeded parameter sweep
     edgeauction calibrate fit-alpha  fit the hash-power exponent
 
-All of them exit 0 on success and print a single diagnostic line to stderr
-and exit nonzero on failure.
+All of them exit 0 on success. A refused input, a file that cannot be read
+or written, and an internal consistency failure each end as a single
+`error:` line on stderr and exit status 1.
 """
 
 from __future__ import annotations
@@ -52,31 +53,27 @@ _PARAM_ALIASES = {
 }
 
 
-class CliError(Exception):
-    pass
-
-
 def _load_json(path: str) -> object:
     try:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{path} is not valid JSON: {exc}") from None
+        raise OSError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for a non-UTF-8 file
+        raise ValueError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _load_config(path: str) -> dict:
     data = _load_json(path)
     if not isinstance(data, dict):
-        raise CliError(f"{path}: config must be a flat JSON object")
+        raise ValueError(f"{path}: config must be a flat JSON object")
     required = [k for k in _CONFIG_KEYS if k not in _OPTIONAL_CONFIG_KEYS]
     missing = [k for k in required if k not in data]
     if missing:
-        raise CliError(f"{path}: config missing keys: {', '.join(missing)}")
+        raise ValueError(f"{path}: config missing keys: {', '.join(missing)}")
     unknown = [k for k in data if k not in _CONFIG_KEYS]
     if unknown:
-        raise CliError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
+        raise ValueError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
     return data
 
 
@@ -95,19 +92,19 @@ def _build_parts(config: dict, default_capacity: int) -> tuple[BlockchainParams,
             })
             for part in _PARTS
         )
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"invalid config value: {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"invalid config value: {exc}") from None
 
 
 def _cmd_auction_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     data = _load_json(args.bids)
     if not isinstance(data, list):
-        raise CliError(f"{args.bids}: expected a JSON array of bidder objects")
+        raise ValueError(f"{args.bids}: expected a JSON array of bidder objects")
     roster = []
     for pos, entry in enumerate(data):
         if not isinstance(entry, dict):
-            raise CliError(f"{args.bids}: entry {pos} is not an object")
+            raise ValueError(f"{args.bids}: entry {pos} is not an object")
         try:
             roster.append(
                 BidderProfile(
@@ -118,15 +115,12 @@ def _cmd_auction_run(args: argparse.Namespace) -> int:
                 )
             )
         except KeyError as exc:
-            raise CliError(f"{args.bids}: entry {pos} missing field {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise CliError(f"{args.bids}: entry {pos}: {exc}") from None
+            raise ValueError(f"{args.bids}: entry {pos} missing field {exc}") from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{args.bids}: entry {pos}: {exc}") from None
 
     _, network, market = _build_parts(config, max(len(roster), 1))
-    try:
-        outcome = run_auction(roster, AuctionConfig(market=market, network=network))
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    outcome = run_auction(roster, AuctionConfig(market=market, network=network))
 
     payload = {f.name: getattr(outcome, f.name) for f in fields(outcome)}
     out = Path(args.out)
@@ -140,9 +134,9 @@ def _parse_grid(raw: str) -> tuple[float, ...]:
     try:
         values = tuple(float(part) for part in raw.split(",") if part.strip())
     except ValueError:
-        raise CliError(f"grid must be a comma-separated list of numbers, got {raw!r}") from None
+        raise ValueError(f"grid must be a comma-separated list of numbers, got {raw!r}") from None
     if not values:
-        raise CliError("grid is empty")
+        raise ValueError("grid is empty")
     return values
 
 
@@ -151,31 +145,23 @@ def _cmd_experiment_sweep(args: argparse.Namespace) -> int:
     param = _PARAM_ALIASES[args.param]
     grid = _parse_grid(args.grid)
 
-    num_users = config.get("num_users")
-    if isinstance(num_users, bool) or not isinstance(num_users, int):
-        raise CliError("num_users must be an integer")
-    try:
-        capacity = non_binding_capacity(param, grid, num_users)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    num_users = config["num_users"]
+    capacity = non_binding_capacity(param, grid, num_users)
     if param == "num_users":
         # accepted as integral just above; ints are written as 100, not 100.0
         grid = tuple(int(g) for g in grid)
     blockchain, network, market = _build_parts(config, capacity)
 
-    try:
-        spec = SweepSpec(
-            swept_parameter=param,
-            grid=grid,
-            blockchain=blockchain,
-            network=network,
-            market=market,
-            num_users=num_users,
-            instances_per_point=args.instances,
-            base_seed=args.seed,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    spec = SweepSpec(
+        swept_parameter=param,
+        grid=grid,
+        blockchain=blockchain,
+        network=network,
+        market=market,
+        num_users=num_users,
+        instances_per_point=args.instances,
+        base_seed=args.seed,
+    )
 
     points, means = run_sweep(spec)
     written = emit_results(
@@ -192,11 +178,7 @@ def _cmd_experiment_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate_fit_alpha(args: argparse.Namespace) -> int:
-    try:
-        samples = load_samples(args.samples)
-        fit = fit_alpha(samples, search_interval=(args.lo, args.hi))
-    except (OSError, ValueError) as exc:
-        raise CliError(str(exc)) from None
+    fit = fit_alpha(load_samples(args.samples), search_interval=(args.lo, args.hi))
     print(f"alpha: {fit.alpha!r}")
     print(f"objective: {fit.objective!r}")
     print(f"degenerate: {str(fit.degenerate).lower()}")
@@ -248,7 +230,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, RuntimeError) as exc:
+    # A failed read or write, a refused input, an internal consistency failure.
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -95,16 +95,21 @@ class SweepSpec:
             raise ValueError("grid must be non-empty")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("grid values must be strictly increasing")
-        # Refuses a user count below 1, in num_users or in a user-count grid.
+        # Refuses a bad user count, in num_users or a user-count grid, before market_at's int().
         non_binding_capacity(self.swept_parameter, self.grid, self.num_users)
-        if self.swept_parameter != "num_users":
-            # BlockchainParams refuses every value the sweep could not clear.
-            for g in self.grid:
-                replace(self.blockchain, **{self.swept_parameter: float(g)})
+        # BlockchainParams refuses every value the sweep could not clear.
+        for g in self.grid:
+            self.market_at(g)
         if self.instances_per_point < 1:
             raise ValueError("instances_per_point must be >= 1")
         if not 0 <= self.base_seed <= _MASK64:
             raise ValueError("base_seed must fit in 64 bits")
+
+    def market_at(self, grid_value: float) -> tuple[int, BlockchainParams]:
+        """The user count and chain parameters of the market at one grid value."""
+        if self.swept_parameter == "num_users":
+            return int(grid_value), self.blockchain
+        return self.num_users, replace(self.blockchain, **{self.swept_parameter: float(grid_value)})
 
 
 @dataclass(frozen=True)
@@ -163,8 +168,11 @@ def generate_instance(
 def non_binding_capacity(swept_parameter: str, grid: Sequence[float], num_users: int) -> int:
     """Capacity that never binds: the largest user count the sweep puts in play.
 
-    Refuses a user count below 1, whether num_users or a user-count grid value.
+    Refuses a num_users that is not an integer (bools included) or is below
+    1, and a user-count grid value that is not a positive integer.
     """
+    if isinstance(num_users, bool) or not isinstance(num_users, int):
+        raise ValueError("num_users must be an integer")
     if num_users < 1:
         raise ValueError("num_users must be >= 1")
     if swept_parameter != "num_users":
@@ -209,13 +217,7 @@ def default_sweep_spec(
 
 def _clear_instance(spec: SweepSpec, grid_value: float, index: int) -> InstancePoint:
     seed = stable_instance_seed(spec.base_seed, grid_value, index)
-    blockchain = spec.blockchain
-    num_users = spec.num_users
-    if spec.swept_parameter == "num_users":
-        num_users = int(grid_value)
-    else:
-        blockchain = replace(blockchain, **{spec.swept_parameter: float(grid_value)})
-    roster = generate_instance(num_users, blockchain, seed)
+    roster = generate_instance(*spec.market_at(grid_value), seed)
     config = AuctionConfig(market=spec.market, network=spec.network)
     outcome = run_auction(roster, config)
     return InstancePoint(

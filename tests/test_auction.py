@@ -353,6 +353,19 @@ class TestRunAuction:
         magnitude = sum(bids) + config.market.unit_cost * len(bids)
         assert abs(welfare_of_set([bids[i] for i in winners], config) - best) <= 1e-9 * magnitude
 
+    def test_pricing_blocks_past_the_first_equal_the_literal_loop(self):
+        # Without the 1e4 bid every prefix of 1.0 bids gains welfare, so every
+        # column passes the bound: 800 winners over 800 columns fill three
+        # blocks of _CELL_BUDGET // 800 = 327 rows.
+        bids = [1e4] + [1.0] * 999
+        roster = [BidderProfile(id=i, tx_size=0.0, demand=1.0, bid=b) for i, b in enumerate(bids)]
+        config = _config(unit_cost=0.0, capacity=800, network=NetworkEffectParams(0.5, 1e-6))
+        outcome = run_auction(roster, config)
+        payments, welfare, m, _ = _reference_clearing(roster, config)
+        assert m == 800 and all(payments[i] > 0.0 for i in outcome.winners)
+        assert outcome.payments == payments
+        assert outcome.welfare == welfare
+
     def test_counterfactual_that_admits_nobody_prices_at_the_vcg_payment(self):
         # without either bidder the lone other one makes negative welfare, so
         # no column of any counterfactual row can reach a positive value

@@ -138,6 +138,16 @@ class TestAuctionRun:
         err = capsys.readouterr().err
         assert err == f"error: {path}: unknown config keys: alpha, discount\n"
 
+    def test_out_that_is_a_directory_is_one_error_line(self, tmp_path, config_path, bids_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(["auction", "run", "--bids", str(bids_path),
+                     "--config", str(config_path), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
     def test_missing_bids_file(self, tmp_path, config_path, capsys):
         code = main(["auction", "run", "--bids", str(tmp_path / "nope.json"),
                      "--config", str(config_path), "--out", str(tmp_path / "o.json")])
@@ -174,6 +184,36 @@ class TestAuctionRun:
         assert code == 1
         assert capsys.readouterr().err == "error: bids overflow: their sum is not finite\n"
         assert not out.exists()
+
+    def test_non_utf8_bids_file_is_one_error_line_naming_it(self, tmp_path, config_path, capsys):
+        path = tmp_path / "bids.json"
+        path.write_bytes(b"\xff\xfe[]")
+        out = tmp_path / "o.json"
+        code = main(["auction", "run", "--bids", str(path),
+                     "--config", str(config_path), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} is not valid JSON: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_values_past_the_float_range_are_one_error_line(
+        self, tmp_path, config_path, bids_path, capsys
+    ):
+        # JSON reads 1e400 as inf and a 400-digit number as an int; int() and
+        # float() of them overflow
+        bids = tmp_path / "big_id.json"
+        bids.write_text('[{"id": 1e400, "tx_size": 1.0, "demand": 1.0, "bid": 1.0}]')
+        config = tmp_path / "big_mu.json"
+        config.write_text(json.dumps(GOOD_CONFIG).replace('"mu": 0.5', '"mu": 1' + "0" * 400))
+        for bids_file, config_file, message in [
+            (bids, config_path, f"{bids}: entry 0: cannot convert float infinity to integer"),
+            (bids_path, config, "invalid config value: int too large to convert to float"),
+        ]:
+            code = main(["auction", "run", "--bids", str(bids_file),
+                         "--config", str(config_file), "--out", str(tmp_path / "o.json")])
+            assert code == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unit_cost_whose_multiples_overflow_clears_silently(self, tmp_path, capsys):
         # c*k past the float range reads as -inf welfare: nobody wins, no warning
@@ -301,8 +341,11 @@ class TestExperimentSweep:
             ("users", "-5,10", 10, "num_users grid values must be positive integers"),
             ("users", "1.5,2", 10, "num_users grid values must be positive integers"),
             ("bonus", "1,2", 0, "num_users must be >= 1"),
+            ("bonus", "1,2", 10.5, "num_users must be an integer"),
+            ("users", "10,1e300", 10, "Maximum allowed dimension exceeded"),
         ],
-        ids=["zero", "inf", "nan", "zero_users", "negative_users", "fractional_users", "zero_num_users"],
+        ids=["zero", "inf", "nan", "zero_users", "negative_users", "fractional_users", "zero_num_users",
+             "fractional_num_users", "users_past_numpy_limit"],
     )
     def test_grid_value_the_market_refuses_is_one_error_line(
         self, tmp_path, capsys, param, grid, num_users, message
@@ -323,6 +366,24 @@ class TestExperimentSweep:
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
         assert not (tmp_path / "s.csv").exists()
+
+    def test_out_that_is_a_directory_is_one_error_line(self, tmp_path, config_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main([
+            "experiment", "sweep",
+            "--param", "fee-rate",
+            "--config", str(config_path),
+            "--grid", "0.004",
+            "--instances", "1",
+            "--seed", "1",
+            "--out", str(out),
+            "--format", "json",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(out.iterdir()) == []
 
     def test_unknown_param_is_an_argparse_error(self, tmp_path, config_path):
         with pytest.raises(SystemExit) as exc:

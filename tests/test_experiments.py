@@ -113,6 +113,20 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match=reason):
             default_sweep_spec(param, grid=grid)
 
+    def test_num_users_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="num_users must be an integer"):
+            default_sweep_spec("fee_rate", num_users=600.0)
+        spec = default_sweep_spec("fee_rate", instances_per_point=1)
+        for num_users in (600.5, True):
+            with pytest.raises(ValueError, match="num_users must be an integer"):
+                replace(spec, num_users=num_users)
+
+    def test_market_at_varies_only_the_swept_parameter(self):
+        users = default_sweep_spec("num_users", grid=(5, 10))
+        assert users.market_at(10) == (10, users.blockchain)
+        fee = default_sweep_spec("fee_rate", num_users=7)
+        assert fee.market_at(0.003) == (7, replace(fee.blockchain, fee_rate=0.003))
+
     def test_base_seed_must_fit_64_bits(self):
         with pytest.raises(ValueError, match="64 bits"):
             default_sweep_spec("fee_rate", base_seed=1 << 64)
