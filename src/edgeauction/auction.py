@@ -42,6 +42,7 @@ __all__ = [
     "select_winners_greedy",
     "vcg_payment",
     "run_auction",
+    "clear_bids",
     "oracle_topk",
     "oracle_exhaustive",
     "bidder_utility",
@@ -108,7 +109,11 @@ def welfare_of_set(bids_in_w: Iterable[float], config: AuctionConfig) -> float:
 
     Returns exactly 0.0 for the empty set.
     """
-    bids = _validate_bids(list(bids_in_w))
+    return _set_welfare(_validate_bids(list(bids_in_w)), config)
+
+
+def _set_welfare(bids: list[float], config: AuctionConfig) -> float:
+    # welfare_of_set for bids already known to be floats, finite and >= 0.
     k = len(bids)
     if k == 0:
         return 0.0
@@ -256,25 +261,20 @@ def _clamp_payment(p, magnitude=1.0):
     return np.where(p < 0.0, 0.0, p)
 
 
-def run_auction(roster: Sequence[BidderProfile], config: AuctionConfig) -> AuctionOutcome:
-    """Clear one auction: select winners, price every winner, assemble the outcome.
+def clear_bids(bids: np.ndarray, config: AuctionConfig) -> tuple[float, np.ndarray, np.ndarray]:
+    """Clear one bid vector: welfare, winner positions and every payment.
 
-    Only unit demands are supported; the selection and pricing rules are not
-    defined for divisible requests, and bids whose sum overflows are refused.
+    The array core under run_auction. Winner positions index the bids in
+    admission order; payments are aligned with the bids, losers paying 0.
+    Bids must be finite and >= 0, and their sum must not overflow.
     Selection and pricing share one descending sort plus prefix sums;
     payments match a literal re-run of the selection for every winner, at
     O(n log n + m |K|) in all, where K is the set of columns the dominance
     bound of _counterfactual_welfare leaves to read.
     """
-    ids = _roster_ids(roster)
-    for p in roster:
-        if p.demand != 1.0:
-            raise ValueError(
-                f"bidder {p.id} demands {p.demand} units; the auction requires unit demands"
-            )
-    n = len(roster)
-    # BidderProfile has already refused every bid that is not finite and >= 0.
-    values = np.array([p.bid for p in roster], dtype=float)
+    values = np.asarray(bids, dtype=float)
+    if not (np.isfinite(values).all() and (values >= 0.0).all()):
+        raise ValueError("bids must be finite and >= 0")
     cleared = _clear(values, config)
     m = cleared.m
     cost = config.market.unit_cost
@@ -282,7 +282,16 @@ def run_auction(roster: Sequence[BidderProfile], config: AuctionConfig) -> Aucti
     winner_positions = cleared.order[:m]
     winner_bids = cleared.sorted_bids[:m]
 
-    payments = np.zeros(n)
+    check = _set_welfare(winner_bids.tolist(), config)
+    magnitude = float(cleared.coef[m - 1] * cleared.prefix[m]) + cost * m if m > 0 else 0.0
+    if abs(check - welfare) > _tolerance(magnitude):
+        raise RuntimeError(
+            f"internal consistency failure: welfare mismatch: {welfare!r} against {check!r} "
+            f"(n={values.size}, m={m}, capacity={config.market.capacity}, "
+            f"bids from {float(values.min())!r} to {float(values.max())!r})"
+        )
+
+    payments = np.zeros(values.size)
     if m > 0:
         s_prime = _counterfactual_welfare(cleared, config)
         # Welfare of the other winners as a set of their own.
@@ -295,21 +304,31 @@ def run_auction(roster: Sequence[BidderProfile], config: AuctionConfig) -> Aucti
         payments[winner_positions] = _clamp_payment(
             s_prime - others, np.abs(s_prime) + np.abs(others)
         )
+    return welfare, winner_positions, payments
 
-    allocation = np.zeros(n, dtype=int)
+
+def run_auction(roster: Sequence[BidderProfile], config: AuctionConfig) -> AuctionOutcome:
+    """Clear one auction: select winners, price every winner, assemble the outcome.
+
+    The roster edge of clear_bids: it refuses repeated ids and non-unit
+    demands, for which the rules are not defined, and reports by bidder id.
+    """
+    ids = _roster_ids(roster)
+    for p in roster:
+        if p.demand != 1.0:
+            raise ValueError(
+                f"bidder {p.id} demands {p.demand} units; the auction requires unit demands"
+            )
+    welfare, winner_positions, payments = clear_bids(
+        np.array([p.bid for p in roster], dtype=float), config
+    )
+    allocation = np.zeros(len(roster), dtype=int)
     allocation[winner_positions] = 1
-    winners = tuple(ids[i] for i in winner_positions.tolist())
-
-    check = welfare_of_set(winner_bids.tolist(), config)
-    magnitude = float(cleared.coef[m - 1] * cleared.prefix[m]) + cost * m if m > 0 else 0.0
-    if abs(check - welfare) > _tolerance(magnitude):
-        raise RuntimeError("internal consistency failure: welfare mismatch")
-
     return AuctionOutcome(
         ids=ids,
         allocation=tuple(allocation.tolist()),
         payments=tuple(payments.tolist()),
-        winners=winners,
+        winners=tuple(ids[i] for i in winner_positions.tolist()),
         welfare=welfare,
     )
 

@@ -129,7 +129,11 @@ def load_samples(path: str | Path) -> list[HashPowerSample]:
     """
     target = Path(path)
     with target.open(newline="") as fh:
-        rows = [row for row in csv.reader(fh)]
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:  # e.g. a field past csv's field size limit
+            raise ValueError(f"{target}:{reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{target}: file is empty, header line required")
     header = [cell.strip() for cell in rows[0]]

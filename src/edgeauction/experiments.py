@@ -19,7 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .auction import AuctionConfig, run_auction
+# Sweeps call clear_bids; perfbench/spans.py wraps run_auction under this module's name.
+from .auction import AuctionConfig, clear_bids, run_auction  # noqa: F401
 from .model import (
     BidderProfile,
     BlockchainParams,
@@ -151,17 +152,25 @@ def stable_instance_seed(base_seed: int, grid_value: float, instance_index: int)
     return (int(base_seed) ^ int.from_bytes(digest, "little")) & _MASK64
 
 
-def generate_instance(
+def _truthful_bids(
     num_users: int, blockchain: BlockchainParams, seed: int
-) -> list[BidderProfile]:
-    """Draw one market instance: sizes uniform on [0, 1000], truthful unit bids."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sizes uniform on [0, 1000] and their truthful unit bids, for one instance."""
     if num_users < 1:
         raise ValueError("num_users must be >= 1")
     rng = np.random.Generator(np.random.PCG64(int(seed)))
-    sizes = rng.uniform(0.0, 1000.0, size=num_users).tolist()
+    sizes = rng.uniform(0.0, 1000.0, size=num_users)
+    return sizes, ex_ante_valuation(sizes, blockchain)
+
+
+def generate_instance(
+    num_users: int, blockchain: BlockchainParams, seed: int
+) -> list[BidderProfile]:
+    """Draw one market instance as a roster: the bids a sweep clears for this seed."""
+    sizes, bids = _truthful_bids(num_users, blockchain, seed)
     return [
-        BidderProfile(id=i, tx_size=s, demand=1.0, bid=ex_ante_valuation(s, blockchain))
-        for i, s in enumerate(sizes)
+        BidderProfile(id=i, tx_size=s, demand=1.0, bid=b)
+        for i, (s, b) in enumerate(zip(sizes.tolist(), bids.tolist()))
     ]
 
 
@@ -216,16 +225,22 @@ def default_sweep_spec(
 
 
 def _clear_instance(spec: SweepSpec, grid_value: float, index: int) -> InstancePoint:
+    # Ids range(n) and unit demands need no roster: the bids go to the array core.
     seed = stable_instance_seed(spec.base_seed, grid_value, index)
-    roster = generate_instance(*spec.market_at(grid_value), seed)
-    config = AuctionConfig(market=spec.market, network=spec.network)
-    outcome = run_auction(roster, config)
+    _, bids = _truthful_bids(*spec.market_at(grid_value), seed)
+    try:
+        welfare, winners, payments = clear_bids(bids, AuctionConfig(spec.market, spec.network))
+    except RuntimeError as exc:
+        raise RuntimeError(
+            f"{exc} in the {spec.swept_parameter} sweep at {grid_value!r}, "
+            f"instance {index}, seed {seed}"
+        ) from exc
     return InstancePoint(
         grid_value=grid_value,
         instance_index=index,
-        welfare=outcome.welfare,
-        winner_count=len(outcome.winners),
-        total_payment=float(sum(outcome.payments)),
+        welfare=welfare,
+        winner_count=winners.size,
+        total_payment=float(sum(payments.tolist())),
     )
 
 

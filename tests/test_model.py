@@ -237,6 +237,31 @@ def test_ex_ante_valuation_is_unimodal_in_size():
     assert peak in (242, 243)
 
 
+@given(
+    sizes=st.lists(st.floats(0.0, 1000.0), max_size=64),
+    bonus=st.floats(0.0, 5.0),
+    fee_rate=st.floats(0.001, 0.009),
+    interval=st.floats(100.0, 1800.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_array_of_sizes_gives_the_scalar_bids_bit_for_bit(sizes, bonus, fee_rate, interval):
+    # The parameters span the default sweep grids; both ends of the size range are always in.
+    params = BlockchainParams(
+        fixed_bonus=bonus, fee_rate=fee_rate, mean_block_interval=interval, propagation_coeff=1.0
+    )
+    sizes = [0.0, *sizes, 1000.0]
+    bids = ex_ante_valuation(np.array(sizes), params)
+    scalar = np.array([ex_ante_valuation(s, params) for s in sizes])
+    assert bids.tobytes() == scalar.tobytes()
+
+
+def test_ex_ante_valuation_refuses_a_negative_size():
+    with pytest.raises(ValueError, match="tx_size"):
+        ex_ante_valuation(-1.0, DEFAULT_BLOCKCHAIN)
+    with pytest.raises(ValueError, match="tx_size"):
+        ex_ante_valuation(np.array([3.0, -1.0]), DEFAULT_BLOCKCHAIN)
+
+
 def test_general_welfare_matches_set_form_on_unit_demands():
     rng = np.random.default_rng(4711)
     for _ in range(50):
