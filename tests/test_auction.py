@@ -521,7 +521,9 @@ class TestClearBids:
         assert tuple(winners.tolist()) == best_winners
         assert welfare == pytest.approx(best, rel=1e-12)
         sampled = int(winners[winners.size // 2])
-        roster = [BidderProfile(id=i, tx_size=0.0, demand=1.0, bid=b) for i, b in enumerate(bids.tolist())]
+        roster = [
+            BidderProfile(id=i, tx_size=0.0, demand=1.0, bid=b) for i, b in enumerate(bids.tolist())
+        ]
         naive = vcg_payment(sampled, roster, best_winners, config)
         assert payments[sampled] == pytest.approx(naive, rel=0.0, abs=1e-12 * max(1.0, welfare))
 

@@ -196,7 +196,6 @@ class TestRunSweep:
         assert all(p.winner_count <= 5 for p in points[:2])
         assert all(p.winner_count <= 10 for p in points[2:])
 
-
     @given(
         param=st.sampled_from(SWEEPABLE_PARAMETERS),
         unit_cost=st.sampled_from([0.001, DEFAULT_UNIT_COST]),
