@@ -15,7 +15,8 @@ the prefix welfare reaches that lower bound.
 
 Two independent oracles are provided for cross-checking selection: an
 exact scan over top-k prefixes and an exhaustive subset enumeration (the
-latter also evaluates rosters with non-unit demands).
+latter also evaluates rosters with non-unit demands). vcg_payment takes its
+counterfactual from the first, so none of the three runs the clearing kernel.
 """
 
 from __future__ import annotations
@@ -92,16 +93,22 @@ class AuctionOutcome:
     welfare: float
 
 
-def _validate_bids(bids: Sequence[float]) -> list[float]:
-    out = []
-    for b in bids:
-        fb = float(b)
-        if not math.isfinite(fb):
-            raise ValueError("bids must be finite")
-        if fb < 0:
-            raise ValueError("bids must be >= 0")
-        out.append(fb)
-    return out
+def _validate_bids(bids: Sequence[float] | np.ndarray) -> np.ndarray:
+    values = np.asarray(bids, dtype=float)
+    if not (np.isfinite(values).all() and (values >= 0.0).all()):
+        raise ValueError("bids must be finite and >= 0")
+    return values
+
+
+def _welfare(k: int, total: float | np.ndarray, config: AuctionConfig) -> float | np.ndarray:
+    """Welfare of k winners whose bids sum to total; 0.0 for k = 0.
+
+    total may be an array of such sums, all for the same k.
+    """
+    if k == 0:
+        return 0.0
+    w = network_effect(float(k), config.network)
+    return (1.0 / k) * w * total - config.market.unit_cost * k
 
 
 def welfare_of_set(bids_in_w: Iterable[float], config: AuctionConfig) -> float:
@@ -109,16 +116,8 @@ def welfare_of_set(bids_in_w: Iterable[float], config: AuctionConfig) -> float:
 
     Returns exactly 0.0 for the empty set.
     """
-    return _set_welfare(_validate_bids(list(bids_in_w)), config)
-
-
-def _set_welfare(bids: list[float], config: AuctionConfig) -> float:
-    # welfare_of_set for bids already known to be floats, finite and >= 0.
-    k = len(bids)
-    if k == 0:
-        return 0.0
-    w = network_effect(float(k), config.network)
-    return (1.0 / k) * w * sum(bids) - config.market.unit_cost * k
+    values = _validate_bids(list(bids_in_w)).tolist()
+    return _welfare(len(values), sum(values), config)
 
 
 @dataclass(frozen=True)
@@ -145,8 +144,7 @@ def _clear(values: np.ndarray, config: AuctionConfig) -> _Clearing:
         raise ValueError("bids overflow: their sum is not finite")
     limit = min(values.size, config.market.capacity)
     kk = np.arange(1, limit + 1, dtype=float)
-    u = np.exp(-config.network.nu * kk)
-    coef = (1.0 - u) / (1.0 + config.network.mu * u) / kk
+    coef = network_effect(kk, config.network) / kk
     welfare_by_k = coef * prefix[1 : limit + 1] - config.market.unit_cost * kk
     # Ties go to the smaller k; k = 0 is the empty set, of welfare 0.
     m = int(np.argmax(np.concatenate(([0.0], welfare_by_k))))
@@ -161,8 +159,7 @@ def select_winners_greedy(bids: Sequence[float], config: AuctionConfig) -> Winne
     unless welfare is positive. Returns positions into the bid vector, in
     rank order.
     """
-    values = np.asarray(_validate_bids(bids), dtype=float)
-    cleared = _clear(values, config)
+    cleared = _clear(_validate_bids(bids), config)
     return tuple(cleared.order[: cleared.m].tolist())
 
 
@@ -226,9 +223,9 @@ def vcg_payment(
 ) -> float:
     """Payment of one winner: welfare the others lose by its presence.
 
-    Re-runs selection on the roster without the winner to get the
-    counterfactual welfare, then subtracts the welfare of the remaining
-    winners evaluated as a set of their own.
+    Takes the counterfactual welfare from oracle_topk on the roster without
+    the winner, so no step of the clearing kernel is shared, then subtracts
+    the welfare of the remaining winners evaluated as a set of their own.
     """
     _roster_ids(roster)
     by_id = {p.id: p.bid for p in roster}
@@ -236,9 +233,7 @@ def vcg_payment(
         raise ValueError(f"unknown bidder id {winner_id}")
     if winner_id not in winners:
         raise ValueError(f"bidder {winner_id} is not a winner")
-    rest = [p for p in roster if p.id != winner_id]
-    counterfactual = select_winners_greedy([p.bid for p in rest], config)
-    s_prime = welfare_of_set([rest[i].bid for i in counterfactual], config)
+    s_prime = oracle_topk([p.bid for p in roster if p.id != winner_id], config)[1]
     others = welfare_of_set([by_id[i] for i in winners if i != winner_id], config)
     return float(_clamp_payment(s_prime - others, abs(s_prime) + abs(others)))
 
@@ -272,9 +267,7 @@ def clear_bids(bids: np.ndarray, config: AuctionConfig) -> tuple[float, np.ndarr
     O(n log n + m |K|) in all, where K is the set of columns the dominance
     bound of _counterfactual_welfare leaves to read.
     """
-    values = np.asarray(bids, dtype=float)
-    if not (np.isfinite(values).all() and (values >= 0.0).all()):
-        raise ValueError("bids must be finite and >= 0")
+    values = _validate_bids(bids)
     cleared = _clear(values, config)
     m = cleared.m
     cost = config.market.unit_cost
@@ -282,7 +275,7 @@ def clear_bids(bids: np.ndarray, config: AuctionConfig) -> tuple[float, np.ndarr
     winner_positions = cleared.order[:m]
     winner_bids = cleared.sorted_bids[:m]
 
-    check = _set_welfare(winner_bids.tolist(), config)
+    check = _welfare(m, sum(winner_bids.tolist()), config)
     magnitude = float(cleared.coef[m - 1] * cleared.prefix[m]) + cost * m if m > 0 else 0.0
     if abs(check - welfare) > _tolerance(magnitude):
         raise RuntimeError(
@@ -295,12 +288,7 @@ def clear_bids(bids: np.ndarray, config: AuctionConfig) -> tuple[float, np.ndarr
     if m > 0:
         s_prime = _counterfactual_welfare(cleared, config)
         # Welfare of the other winners as a set of their own.
-        q = m - 1
-        if q > 0:
-            w_q = network_effect(float(q), config.network)
-            others = (1.0 / q) * w_q * (float(cleared.prefix[m]) - winner_bids) - cost * q
-        else:
-            others = np.zeros(m)
+        others = _welfare(m - 1, float(cleared.prefix[m]) - winner_bids, config)
         payments[winner_positions] = _clamp_payment(
             s_prime - others, np.abs(s_prime) + np.abs(others)
         )
@@ -339,7 +327,7 @@ def oracle_topk(bids: Sequence[float], config: AuctionConfig) -> tuple[WinnerSet
     Ties prefer the smaller k. Independent of the clearing kernel: its own sort,
     a running sum of the bids and w(k) from the model for each k.
     """
-    values = _validate_bids(bids)
+    values = _validate_bids(bids).tolist()
     n = len(values)
     order = sorted(range(n), key=lambda i: (-values[i], i))
     best_k = 0
@@ -347,10 +335,11 @@ def oracle_topk(bids: Sequence[float], config: AuctionConfig) -> tuple[WinnerSet
     total = 0.0
     for k in range(1, min(n, config.market.capacity) + 1):
         total += values[order[k - 1]]
-        w = network_effect(float(k), config.network)
-        s = (1.0 / k) * w * total - config.market.unit_cost * k
+        s = _welfare(k, total, config)
         if s > best:
             best, best_k = s, k
+    if not math.isfinite(total):
+        raise ValueError("bids overflow: their sum is not finite")
     return tuple(order[:best_k]), best
 
 
@@ -389,8 +378,7 @@ def oracle_exhaustive(
         weight_sum[lo : 2 * lo] = weight_sum[:lo] + weights[i]
         value_sum[lo : 2 * lo] = value_sum[:lo] + weights[i] * bids[i]
 
-    u = np.exp(-config.network.nu * demand_sum)
-    w = (1.0 - u) / (1.0 + config.network.mu * u)
+    w = network_effect(demand_sum, config.network)
     with np.errstate(invalid="ignore", divide="ignore"):
         welfare = (value_sum / weight_sum) * w - config.market.unit_cost * demand_sum
     welfare[0] = 0.0

@@ -184,14 +184,20 @@ def block_win_probability(
     return gamma * _not_orphaned(tx_size, params)
 
 
-def network_effect(total_allocated: float, params: NetworkEffectParams) -> float:
+def network_effect(
+    total_allocated: float | np.ndarray, params: NetworkEffectParams
+) -> float | np.ndarray:
     """S-shaped demand-side network effect of the total allocated quantity.
 
-    Equals 0 at q = 0, strictly increases, and saturates at 1.
+    Equals 0 at q = 0, strictly increases, and saturates at 1. A float goes
+    through math.exp and an array through np.exp, so the scalar callers and
+    the array kernels each keep their bits (the two differ in the last bit
+    on some arguments).
     """
-    if total_allocated < 0:
+    is_array = isinstance(total_allocated, np.ndarray)
+    if (total_allocated < 0).any() if is_array else total_allocated < 0:
         raise ValueError("total_allocated must be >= 0")
-    u = math.exp(-params.nu * total_allocated)
+    u = (np.exp if is_array else math.exp)(-params.nu * total_allocated)
     return (1.0 - u) / (1.0 + params.mu * u)
 
 

@@ -294,11 +294,14 @@ class TestSelection:
             payment = vcg_payment(wid, roster, outcome.winners, config)
             assert outcome.payments[wid] == payment == 0.004845436077795862
 
-    def test_rejects_negative_and_non_finite_bids(self):
-        with pytest.raises(ValueError):
-            select_winners_greedy([1.0, -0.5], _config())
-        with pytest.raises(ValueError):
-            select_winners_greedy([1.0, float("nan")], _config())
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "check", [welfare_of_set, oracle_topk, select_winners_greedy, clear_bids],
+        ids=lambda f: f.__name__,
+    )
+    def test_rejects_negative_and_non_finite_bids(self, check, bad):
+        with pytest.raises(ValueError, match="^bids must be finite and >= 0$"):
+            check([1.0, bad], _config())
 
 
 class TestRunAuction:
@@ -393,6 +396,11 @@ class TestRunAuction:
             run_auction(roster, _config())
         with pytest.raises(ValueError, match="overflow"):
             select_winners_greedy([p.bid for p in roster], _config())
+        # the references refuse them too, rather than price at inf - inf
+        with pytest.raises(ValueError, match="overflow"):
+            oracle_topk([p.bid for p in roster], _config())
+        with pytest.raises(ValueError, match="overflow"):
+            vcg_payment(2, roster, (0, 1, 2), _config())
 
     @pytest.mark.parametrize(
         "bids, nu, winners, welfare",
@@ -498,8 +506,10 @@ class TestClearBids:
     def test_welfare_mismatch_names_the_instance(self, monkeypatch):
         bids = np.array([10.0, 8.0, 1.0])
         _, winners, _ = clear_bids(bids, _config())
-        # the consistency check evaluates the curve through the model's network_effect
-        monkeypatch.setattr(auction, "network_effect", lambda q, p: 2.0 * network_effect(q, p))
+        # the consistency check evaluates the set welfare through _welfare; the
+        # kernel computes its prefix welfare on its own
+        original = auction._welfare
+        monkeypatch.setattr(auction, "_welfare", lambda k, total, c: 2.0 * original(k, total, c))
         expected = f"(n=3, m={winners.size}, capacity=3, bids from 1.0 to 10.0)"
         with pytest.raises(RuntimeError, match="welfare mismatch") as exc:
             clear_bids(bids, _config())
@@ -559,6 +569,45 @@ class TestOracles:
         winners, welfare = oracle_topk([0.0, 0.0], _config(unit_cost=0.0))
         assert winners == ()
         assert welfare == 0.0
+
+    @pytest.mark.parametrize("family", ["s_shaped", "binding_capacity"])
+    def test_references_do_not_run_the_clearing_kernel(self, family, monkeypatch):
+        # The payments and optimum run_auction produces are checked against
+        # vcg_payment and the oracles, so those must reach the same numbers
+        # with every step of the kernel unavailable. oracle_exhaustive gets
+        # the first 12 bidders of each roster.
+        rng = np.random.default_rng(sorted(_ROSTER_FAMILIES).index(family))
+        cleared = []
+        for _ in range(20):
+            bids, mu, nu, capacity, cost = _ROSTER_FAMILIES[family](rng)
+            network = NetworkEffectParams(mu, nu)
+            for roster_bids, cap in ((bids, capacity), (bids[:12], min(capacity, 12))):
+                roster = [
+                    BidderProfile(id=i, tx_size=0.0, demand=1.0, bid=float(b))
+                    for i, b in enumerate(roster_bids)
+                ]
+                config = _config(unit_cost=cost, capacity=cap, network=network)
+                cleared.append((roster, config, run_auction(roster, config)))
+
+        def unavailable(*args):
+            raise AssertionError("a reference ran the clearing kernel")
+
+        monkeypatch.setattr(auction, "_clear", unavailable)
+        monkeypatch.setattr(auction, "_counterfactual_welfare", unavailable)
+        winners = 0
+        for roster, config, outcome in cleared:
+            for wid in outcome.winners:
+                payment = vcg_payment(wid, roster, outcome.winners, config)
+                assert payment == pytest.approx(outcome.payments[wid], rel=0.0, abs=1e-12)
+            best_winners, best = oracle_topk([p.bid for p in roster], config)
+            assert best_winners == outcome.winners
+            assert best == pytest.approx(outcome.welfare, rel=1e-12)
+            if len(roster) <= 12:
+                allocation, best = oracle_exhaustive(roster, config)
+                assert allocation == outcome.allocation
+                assert best == pytest.approx(outcome.welfare, rel=1e-12)
+            winners += len(outcome.winners)
+        assert winners > 0
 
     def test_topk_agrees_with_exhaustive_on_unit_demands(self):
         rng = np.random.default_rng(777)

@@ -227,9 +227,10 @@ class TestRunSweep:
             "fee_rate", grid=(0.007,), instances_per_point=1, base_seed=3, num_users=20,
             unit_cost=0.001,
         )
-        # the consistency check evaluates the curve through the model's network_effect
-        original = auction.network_effect
-        monkeypatch.setattr(auction, "network_effect", lambda q, p: 2.0 * original(q, p))
+        # the consistency check evaluates the set welfare through _welfare; the
+        # kernel computes its prefix welfare on its own
+        original = auction._welfare
+        monkeypatch.setattr(auction, "_welfare", lambda k, total, c: 2.0 * original(k, total, c))
         seed = stable_instance_seed(3, 0.007, 0)
         with pytest.raises(RuntimeError, match="welfare mismatch") as exc:
             run_sweep(spec)

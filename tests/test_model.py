@@ -206,6 +206,19 @@ def test_network_effect_strictly_increases(q, gap, mu, nu):
 def test_network_effect_boundaries():
     assert network_effect(0.0, DEFAULT_NETWORK) == 0.0
     assert network_effect(1e7, DEFAULT_NETWORK) == pytest.approx(1.0, abs=1e-12)
+    # An array goes through np.exp, as the clearing kernel and the exhaustive
+    # oracle evaluate it; a float keeps math.exp.
+    mu, nu = DEFAULT_NETWORK.mu, DEFAULT_NETWORK.nu
+    q = np.array([0.0, 1.0, 2.0, 3.0, 200.0, 7486.0, 1e7])
+    u = np.exp(-nu * q)
+    assert network_effect(q, DEFAULT_NETWORK).tobytes() == ((1.0 - u) / (1.0 + mu * u)).tobytes()
+    for x in q.tolist():
+        v = math.exp(-nu * x)
+        got = network_effect(x, DEFAULT_NETWORK)
+        assert type(got) is float and got == (1.0 - v) / (1.0 + mu * v)
+    for negative in (-1.0, np.array([3.0, 0.0, -1e-300])):
+        with pytest.raises(ValueError, match="total_allocated must be >= 0"):
+            network_effect(negative, DEFAULT_NETWORK)
 
 
 @given(
