@@ -11,7 +11,10 @@ welfare; payments charge each winner the externality it imposes, computed
 from a counterfactual run without that winner. The counterfactual without
 the highest bid bounds every other one from below, and the prefix welfare
 bounds each from above, so all of them are read off the few columns where
-the prefix welfare reaches that lower bound.
+the prefix welfare reaches that lower bound. A winner's columns up to its
+own rank hold the prefix welfare itself, so they are one running maximum
+shared by all winners; the columns past it fill one block with a column
+per winner, so the maximum over the kept columns runs along contiguous rows.
 
 Two independent oracles are provided for cross-checking selection: an
 exact scan over top-k prefixes and an exhaustive subset enumeration (the
@@ -21,6 +24,7 @@ counterfactual from the first, so none of the three runs the clearing kernel.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -132,6 +136,17 @@ class _Clearing:
     m: int                    # winner count: the first k of largest welfare
 
 
+# A sweep clears at most ten roster sizes under one curve, so all of them stay cached.
+@functools.lru_cache(maxsize=16)
+def _curve(limit: int, network: NetworkEffectParams) -> tuple[np.ndarray, np.ndarray]:
+    """k = 1..limit as floats and w(k)/k, read-only because every clearing shares them."""
+    kk = np.arange(1, limit + 1, dtype=float)
+    coef = network_effect(kk, network) / kk
+    kk.flags.writeable = False
+    coef.flags.writeable = False
+    return kk, coef
+
+
 # Overflow is silent here: a prefix sum past the float range is refused, and
 # a cost c*k past it makes that prefix's welfare -inf, which no argmax picks.
 @np.errstate(over="ignore")
@@ -143,8 +158,7 @@ def _clear(values: np.ndarray, config: AuctionConfig) -> _Clearing:
     if not math.isfinite(prefix[-1]):
         raise ValueError("bids overflow: their sum is not finite")
     limit = min(values.size, config.market.capacity)
-    kk = np.arange(1, limit + 1, dtype=float)
-    coef = network_effect(kk, config.network) / kk
+    kk, coef = _curve(limit, config.network)
     welfare_by_k = coef * prefix[1 : limit + 1] - config.market.unit_cost * kk
     # Ties go to the smaller k; k = 0 is the empty set, of welfare 0.
     m = int(np.argmax(np.concatenate(([0.0], welfare_by_k))))
@@ -174,8 +188,12 @@ def _counterfactual_welfare(cleared: _Clearing, config: AuctionConfig) -> np.nda
     row 0 drops the highest bid, and dropping one bid from the top k + 1
     leaves at most the top k. So a positive row maximum sits at a column
     whose S(k) reaches R_0, row 0's maximum floored at 0, and only those
-    columns are read: O(n + m |K|) for the set K of them. Blocks of rows
-    stay under a fixed cell budget, so memory does not grow with the roster.
+    columns K are read. A row splits in two halves. For k <= t the cell is
+    S(k) itself, so that half of every row is one running maximum of S over
+    K. For k > t it is w(k)/k (prefix[k+1] - b_t) - c k, computed as one
+    column-major |K| x rows block and reduced over K; only rows t < max K
+    have such cells. O(n + m |K|) in all, and blocks of rows stay under a
+    fixed cell budget, so memory does not grow with the roster.
     """
     m = cleared.m
     n = cleared.sorted_bids.size
@@ -186,24 +204,38 @@ def _counterfactual_welfare(cleared: _Clearing, config: AuctionConfig) -> np.nda
     coef, prefix, welfare_by_k = cleared.coef, cleared.prefix, cleared.welfare_by_k
     bids = cleared.sorted_bids[:m]
 
-    def row_maxima(rows: np.ndarray, ks: np.ndarray) -> np.ndarray:
-        # max(0, S'_t(k)) over the columns ks (all >= 1) for each rank t in rows.
-        out = np.zeros(rows.size)
-        step = max(1, _CELL_BUDGET // ks.size)
-        for i in range(0, rows.size, step):
-            t = rows[i : i + step, None]
-            shifted = coef[ks - 1] * (prefix[ks + 1] - bids[t]) - cost * ks
-            best = np.where(ks <= t, welfare_by_k[ks - 1], shifted).max(axis=1)
-            out[i : i + step] = np.where(best > 0.0, best, 0.0)
-        return out
-
+    # Row 0 has no column k <= 0: every one of its cells drops the highest bid.
     every = np.arange(1, limit2 + 1)
-    floor = row_maxima(np.zeros(1, dtype=int), every)[0]
-    scale = np.max(coef[:limit2] * prefix[2 : limit2 + 2] + cost * every)
+    row0 = coef[:limit2] * (prefix[2 : limit2 + 2] - bids[0]) - cost * every
+    floor = max(0.0, float(row0.max()))
+    scale = (coef[:limit2] * prefix[2 : limit2 + 2] + cost * every).max()
     ks = every[welfare_by_k[:limit2] >= floor - (_BOUND_MARGIN * scale + _SUBNORMAL_MARGIN)]
     if ks.size == 0:
         return np.zeros(m)
-    return row_maxima(np.arange(m), ks)
+
+    # The k <= t half: S(k) at index k, so row t reads the running maximum.
+    best = np.full(m, -np.inf)
+    low = ks[ks < m]
+    best[low] = welfare_by_k[low - 1]
+    np.maximum.accumulate(best, out=best)
+
+    # The k > t half, one column per row so the reduction runs over rows of K.
+    rows = min(m, int(ks[-1]))
+    step = max(1, _CELL_BUDGET // ks.size)
+    col_sums = prefix[ks + 1, None]
+    col_coef = coef[ks - 1, None]
+    col_cost = (cost * ks)[:, None]
+    for lo in range(0, rows, step):
+        hi = min(rows, lo + step)
+        block = col_sums - bids[lo:hi]
+        block *= col_coef
+        block -= col_cost
+        if hi > ks[0]:
+            # cells with k <= t belong to the other half; rows before ks[0] have none
+            start = max(lo, int(ks[0]))
+            np.copyto(block[:, start - lo :], -np.inf, where=ks[:, None] <= np.arange(start, hi))
+        np.maximum(best[lo:hi], block.max(axis=0), out=best[lo:hi])
+    return np.where(best > 0.0, best, 0.0)
 
 
 def _roster_ids(roster: Sequence[BidderProfile]) -> tuple[int, ...]:
@@ -265,7 +297,9 @@ def clear_bids(bids: np.ndarray, config: AuctionConfig) -> tuple[float, np.ndarr
     Selection and pricing share one descending sort plus prefix sums;
     payments match a literal re-run of the selection for every winner, at
     O(n log n + m |K|) in all, where K is the set of columns the dominance
-    bound of _counterfactual_welfare leaves to read.
+    bound of _counterfactual_welfare leaves to read. A winner's columns
+    k <= t read one running maximum of the prefix welfare, and its columns
+    k > t one column-major |K| x rows block.
     """
     values = _validate_bids(bids)
     cleared = _clear(values, config)

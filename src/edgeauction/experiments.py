@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -313,8 +313,9 @@ def emit_results(
     dest.parent.mkdir(parents=True, exist_ok=True)
     meta = {"rng_family": RNG_FAMILY}
     meta.update(metadata or {})
-    point_rows = [(sweep_param, *astuple(p)) for p in points]
-    mean_rows = [(sweep_param, *astuple(m)) for m in means]
+    # Every field is a plain number, listed by vars() in declaration order.
+    point_rows = [(sweep_param, *vars(p).values()) for p in points]
+    mean_rows = [(sweep_param, *vars(m).values()) for m in means]
 
     if format == "csv":
         means_path = dest.with_name(dest.stem + "_means" + (dest.suffix or ".csv"))

@@ -2,10 +2,11 @@
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgeauction import (
@@ -201,9 +202,12 @@ _ROSTER_FAMILIES = {
 
 @st.composite
 def _markets(draw):
-    """Bids with ties, mu from 0.05 to 10, capacity that may bind, bids at 1e-12..1e12."""
+    """Bids with ties and near-ties, mu 0.05..10, capacity that may bind, bids at 1e-12..1e12."""
     n = draw(st.integers(1, 60))
-    levels = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=n))
+    spread = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=n)
+    # near-ties: levels within a relative 1e-13 of each other
+    near = spread.map(lambda us: [0.5 * (1.0 + 1e-13 * u) for u in us])
+    levels = draw(st.one_of(spread, near))
     scale = 10.0 ** draw(st.integers(-12, 12))
     bids = [scale * b for b in draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))]
     mu, nu = draw(st.floats(0.05, 10.0)), draw(st.floats(0.005, 1.0))
@@ -359,10 +363,29 @@ class TestRunAuction:
         magnitude = sum(bids) + config.market.unit_cost * len(bids)
         assert abs(welfare_of_set([bids[i] for i in winners], config) - best) <= 1e-9 * magnitude
 
+    @given(_markets())
+    # S-shaped, with masked rows in blocks past the first: leaving the k = t
+    # cell unmasked, or masking by the row's offset in its block, moves a payment
+    @example(([0.2, 0.3, 1.1, 1.7, 2.2, 0.7, 0.9, 0.8, 0.5],
+              _config(unit_cost=0.02, capacity=8, network=NetworkEffectParams(5.0, 0.3))))
+    @settings(max_examples=300, deadline=None)
+    def test_payments_across_many_small_pricing_blocks_equal_the_literal_loop(self, market):
+        # A budget of 24 cells cuts the rows into blocks of at most 24 // |K|,
+        # so block edges fall inside the rows [ks[0], max K) whose k <= t cells
+        # are masked, as well as before and after them.
+        bids, config = market
+        roster = [BidderProfile(id=i, tx_size=0.0, demand=1.0, bid=b) for i, b in enumerate(bids)]
+        with mock.patch.object(auction, "_CELL_BUDGET", 24):
+            outcome = run_auction(roster, config)
+        payments, welfare, _, _ = _reference_clearing(roster, config)
+        assert outcome.payments == payments
+        assert outcome.welfare == welfare
+
     def test_pricing_blocks_past_the_first_equal_the_literal_loop(self):
         # Without the 1e4 bid every prefix of 1.0 bids gains welfare, so every
-        # column passes the bound: 800 winners over 800 columns fill three
-        # blocks of _CELL_BUDGET // 800 = 327 rows.
+        # column passes the bound: the k > t cells of 800 winners over 800
+        # columns fill three blocks of _CELL_BUDGET // 800 = 327 rows, and both
+        # block edges fall inside the masked rows from ks[0] = 1.
         bids = [1e4] + [1.0] * 999
         roster = [BidderProfile(id=i, tx_size=0.0, demand=1.0, bid=b) for i, b in enumerate(bids)]
         config = _config(unit_cost=0.0, capacity=800, network=NetworkEffectParams(0.5, 1e-6))
@@ -514,6 +537,16 @@ class TestClearBids:
         with pytest.raises(RuntimeError, match="welfare mismatch") as exc:
             clear_bids(bids, _config())
         assert str(exc.value).endswith(expected)
+
+    def test_cached_curve_is_read_only(self):
+        # every clearing of the same size and curve shares these arrays
+        config = _config(capacity=3)
+        kk, coef = auction._curve(3, config.network)
+        assert _clear(np.array([3.0, 2.0, 1.0]), config).coef is coef
+        for shared in (kk, coef):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 0.0
+        assert kk.tolist() == [1.0, 2.0, 3.0]
 
     @pytest.mark.parametrize(
         "n, bonus, unit_cost, mu",
