@@ -13,8 +13,8 @@ the highest bid bounds every other one from below, and the prefix welfare
 bounds each from above, so all of them are read off the few columns where
 the prefix welfare reaches that lower bound. A winner's columns up to its
 own rank hold the prefix welfare itself, so they are one running maximum
-shared by all winners; the columns past it fill one block with a column
-per winner, so the maximum over the kept columns runs along contiguous rows.
+shared by all winners; the columns past it fill blocks with a column per
+winner, so the maximum over the kept columns runs along contiguous rows.
 
 Two independent oracles are provided for cross-checking selection: an
 exact scan over top-k prefixes and an exhaustive subset enumeration (the
@@ -68,8 +68,11 @@ _RELATIVE_TOLERANCE = 1e-9
 _BOUND_MARGIN = 64 * np.finfo(float).eps
 _SUBNORMAL_MARGIN = 4 * np.finfo(float).smallest_subnormal
 
-# Cells per block of counterfactual rows: about 2 MB per temporary array.
+# Cells per block of counterfactual welfare: about 2 MB per temporary array.
 _CELL_BUDGET = 1 << 18
+# Rows per block, at most: with many kept columns a block is cut along them
+# instead, so its maximum still runs along rows this long.
+_BLOCK_ROWS = 1 << 10
 
 _MAX_EXHAUSTIVE_BIDDERS = 20
 
@@ -190,10 +193,11 @@ def _counterfactual_welfare(cleared: _Clearing, config: AuctionConfig) -> np.nda
     whose S(k) reaches R_0, row 0's maximum floored at 0, and only those
     columns K are read. A row splits in two halves. For k <= t the cell is
     S(k) itself, so that half of every row is one running maximum of S over
-    K. For k > t it is w(k)/k (prefix[k+1] - b_t) - c k, computed as one
-    column-major |K| x rows block and reduced over K; only rows t < max K
-    have such cells. O(n + m |K|) in all, and blocks of rows stay under a
-    fixed cell budget, so memory does not grow with the roster.
+    K. For k > t it is w(k)/k (prefix[k+1] - b_t) - c k, computed in
+    column-major blocks of kept columns by rows and reduced over K; only
+    rows t < max K have such cells. O(n + m |K|) in all. A block holds up to
+    _BLOCK_ROWS rows and stays under a fixed cell budget, so memory does not
+    grow with the roster, and a large K is cut into several blocks.
     """
     m = cleared.m
     n = cleared.sorted_bids.size
@@ -219,22 +223,27 @@ def _counterfactual_welfare(cleared: _Clearing, config: AuctionConfig) -> np.nda
     best[low] = welfare_by_k[low - 1]
     np.maximum.accumulate(best, out=best)
 
-    # The k > t half, one column per row so the reduction runs over rows of K.
+    # The k > t half: a block holds one column per winner, so its maximum over
+    # K runs along contiguous rows.
     rows = min(m, int(ks[-1]))
-    step = max(1, _CELL_BUDGET // ks.size)
+    width = min(rows, _BLOCK_ROWS)
+    depth = max(1, _CELL_BUDGET // width)
     col_sums = prefix[ks + 1, None]
     col_coef = coef[ks - 1, None]
     col_cost = (cost * ks)[:, None]
-    for lo in range(0, rows, step):
-        hi = min(rows, lo + step)
-        block = col_sums - bids[lo:hi]
-        block *= col_coef
-        block -= col_cost
-        if hi > ks[0]:
-            # cells with k <= t belong to the other half; rows before ks[0] have none
-            start = max(lo, int(ks[0]))
-            np.copyto(block[:, start - lo :], -np.inf, where=ks[:, None] <= np.arange(start, hi))
-        np.maximum(best[lo:hi], block.max(axis=0), out=best[lo:hi])
+    for lo in range(0, rows, width):
+        hi = min(rows, lo + width)
+        for j in range(0, ks.size, depth):
+            cols = slice(j, j + depth)
+            block = col_sums[cols] - bids[lo:hi]
+            block *= col_coef[cols]
+            block -= col_cost[cols]
+            if hi > ks[j]:
+                # cells with k <= t belong to the other half; rows before ks[j] have none
+                start = max(lo, int(ks[j]))
+                mask = ks[cols, None] <= np.arange(start, hi)
+                np.copyto(block[:, start - lo :], -np.inf, where=mask)
+            np.maximum(best[lo:hi], block.max(axis=0), out=best[lo:hi])
     return np.where(best > 0.0, best, 0.0)
 
 
@@ -299,7 +308,7 @@ def clear_bids(bids: np.ndarray, config: AuctionConfig) -> tuple[float, np.ndarr
     O(n log n + m |K|) in all, where K is the set of columns the dominance
     bound of _counterfactual_welfare leaves to read. A winner's columns
     k <= t read one running maximum of the prefix welfare, and its columns
-    k > t one column-major |K| x rows block.
+    k > t column-major blocks of kept columns by winners.
     """
     values = _validate_bids(bids)
     cleared = _clear(values, config)

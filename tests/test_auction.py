@@ -364,18 +364,20 @@ class TestRunAuction:
         assert abs(welfare_of_set([bids[i] for i in winners], config) - best) <= 1e-9 * magnitude
 
     @given(_markets())
-    # S-shaped, with masked rows in blocks past the first: leaving the k = t
+    # S-shaped, with masked rows in blocks past the first: leaving a k = t
     # cell unmasked, or masking by the row's offset in its block, moves a payment
+    @example(([1.8, 0.8, 0.4, 1.5, 4.2, 2.6, 0.9, 0.2],
+              _config(unit_cost=0.05, capacity=8, network=NetworkEffectParams(10.0, 0.2))))
     @example(([0.2, 0.3, 1.1, 1.7, 2.2, 0.7, 0.9, 0.8, 0.5],
               _config(unit_cost=0.02, capacity=8, network=NetworkEffectParams(5.0, 0.3))))
     @settings(max_examples=300, deadline=None)
     def test_payments_across_many_small_pricing_blocks_equal_the_literal_loop(self, market):
-        # A budget of 24 cells cuts the rows into blocks of at most 24 // |K|,
-        # so block edges fall inside the rows [ks[0], max K) whose k <= t cells
-        # are masked, as well as before and after them.
+        # Blocks of at most 5 rows by 24 // 5 columns: block edges fall inside
+        # the rows [ks[0], max K) whose k <= t cells are masked, as well as
+        # before and after them, and between the kept columns.
         bids, config = market
         roster = [BidderProfile(id=i, tx_size=0.0, demand=1.0, bid=b) for i, b in enumerate(bids)]
-        with mock.patch.object(auction, "_CELL_BUDGET", 24):
+        with mock.patch.multiple(auction, _CELL_BUDGET=24, _BLOCK_ROWS=5):
             outcome = run_auction(roster, config)
         payments, welfare, _, _ = _reference_clearing(roster, config)
         assert outcome.payments == payments
@@ -384,8 +386,8 @@ class TestRunAuction:
     def test_pricing_blocks_past_the_first_equal_the_literal_loop(self):
         # Without the 1e4 bid every prefix of 1.0 bids gains welfare, so every
         # column passes the bound: the k > t cells of 800 winners over 800
-        # columns fill three blocks of _CELL_BUDGET // 800 = 327 rows, and both
-        # block edges fall inside the masked rows from ks[0] = 1.
+        # columns fill three blocks of _CELL_BUDGET // 800 = 327 columns, and
+        # both block edges fall inside the masked rows from ks[0] = 1.
         bids = [1e4] + [1.0] * 999
         roster = [BidderProfile(id=i, tx_size=0.0, demand=1.0, bid=b) for i, b in enumerate(bids)]
         config = _config(unit_cost=0.0, capacity=800, network=NetworkEffectParams(0.5, 1e-6))
