@@ -19,7 +19,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .auction import AuctionConfig, run_auction
+from .auction import AuctionConfig, AuctionOutcome, run_auction
 from .calibration import fit_alpha, load_samples
 from .experiments import (
     SweepSpec,
@@ -96,15 +96,23 @@ def _build_parts(config: dict, default_capacity: int) -> tuple[BlockchainParams,
         raise ValueError(f"invalid config value: {exc}") from None
 
 
-def _cmd_auction_run(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    data = _load_json(args.bids)
-    if not isinstance(data, list):
-        raise ValueError(f"{args.bids}: expected a JSON array of bidder objects")
+def _read_roster(path: str, data: list) -> list[BidderProfile]:
+    """Bidder profiles from the entries of a bids file; BidderProfile checks each field.
+
+    The roster is built in one pass. Only when that fails are the entries
+    walked again, one by one, to word the first bad entry's error.
+    """
+    try:
+        return [
+            BidderProfile(int(e["id"]), float(e["tx_size"]), float(e["demand"]), float(e["bid"]))
+            for e in data
+        ]
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass
     roster = []
     for pos, entry in enumerate(data):
         if not isinstance(entry, dict):
-            raise ValueError(f"{args.bids}: entry {pos} is not an object")
+            raise ValueError(f"{path}: entry {pos} is not an object")
         try:
             roster.append(
                 BidderProfile(
@@ -115,17 +123,49 @@ def _cmd_auction_run(args: argparse.Namespace) -> int:
                 )
             )
         except KeyError as exc:
-            raise ValueError(f"{args.bids}: entry {pos} missing field {exc}") from None
+            raise ValueError(f"{path}: entry {pos} missing field {exc}") from None
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{args.bids}: entry {pos}: {exc}") from None
+            raise ValueError(f"{path}: entry {pos}: {exc}") from None
+    return roster
+
+
+# Between the items of a list one level inside the outcome object, as indent=2 writes them.
+_ITEM_SEPARATORS = (",\n    ", ": ")
+
+
+def _outcome_json(outcome: AuctionOutcome) -> str:
+    """The outcome file: the bytes json.dumps(payload, indent=2) writes, and a newline.
+
+    json skips its C encoder whenever indent is set. Every field is a flat
+    list of numbers or one float, so the object is laid out here and each
+    value goes through the C encoder with the indent in its separators.
+    """
+    lines = []
+    for f in fields(outcome):
+        value = getattr(outcome, f.name)
+        if not isinstance(value, tuple):
+            text = json.dumps(value)
+        elif value:
+            text = "[\n    " + json.dumps(value, separators=_ITEM_SEPARATORS)[1:-1] + "\n  ]"
+        else:
+            text = "[]"
+        lines.append(f"  {json.dumps(f.name)}: {text}")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def _cmd_auction_run(args: argparse.Namespace) -> int:
+    config = _load_config(args.config)
+    data = _load_json(args.bids)
+    if not isinstance(data, list):
+        raise ValueError(f"{args.bids}: expected a JSON array of bidder objects")
+    roster = _read_roster(args.bids, data)
 
     _, network, market = _build_parts(config, max(len(roster), 1))
     outcome = run_auction(roster, AuctionConfig(market=market, network=network))
 
-    payload = {f.name: getattr(outcome, f.name) for f in fields(outcome)}
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(payload, indent=2) + "\n")
+    out.write_text(_outcome_json(outcome))
     print(f"cleared {len(roster)} bids: {len(outcome.winners)} winners, welfare {outcome.welfare!r}")
     return 0
 

@@ -1,9 +1,14 @@
 """End-to-end tests of the command-line interface, run in process."""
 
 import json
+from dataclasses import fields
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from edgeauction import cli
+from edgeauction.auction import AuctionOutcome, run_auction
 from edgeauction.cli import main
 
 GOOD_CONFIG = {
@@ -77,6 +82,81 @@ class TestAuctionRun:
             '  "winners": [\n    9,\n    4\n  ],\n'
             '  "welfare": 0.014638796682454746\n}\n'
         )
+
+    @pytest.mark.parametrize("bids, ids, market", [
+        # no winners: every payment 0.0 and an empty winner list
+        ([1.0, 1.0, 1.0], None, {"unit_cost": 1e308, "capacity": 3}),
+        ([3.0], None, {}),
+        ([3.0, 2.0, 0.5], [-5, 2**63 + 7, 3 * 2**64], {}),
+        ([1e300, 2e300, 5e299], None, {}),
+        # payments below the normal float range
+        ([1e-300, 3e-300, 2e-300], None, {"unit_cost": 0.0}),
+        # equal bids and no cost: every winner pays exactly 0.0
+        ([3.0, 3.0], None, {"unit_cost": 0.0}),
+    ])
+    def test_outcome_file_is_the_indented_json_of_the_outcome(
+        self, tmp_path, monkeypatch, bids, ids, market
+    ):
+        outcomes = []
+
+        def recording_run_auction(roster, config):
+            outcomes.append(run_auction(roster, config))
+            return outcomes[-1]
+
+        monkeypatch.setattr(cli, "run_auction", recording_run_auction)
+        ids = ids or list(range(len(bids)))
+        bids_file = tmp_path / "bids.json"
+        bids_file.write_text(json.dumps([
+            {"id": i, "tx_size": 1.0, "demand": 1.0, "bid": b} for i, b in zip(ids, bids)
+        ]))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(GOOD_CONFIG, **market)))
+        out = tmp_path / "outcome.json"
+        assert main(["auction", "run", "--bids", str(bids_file),
+                     "--config", str(config), "--out", str(out)]) == 0
+        [outcome] = outcomes
+        payload = {f.name: getattr(outcome, f.name) for f in fields(outcome)}
+        assert out.read_text() == json.dumps(payload, indent=2) + "\n"
+
+    @given(
+        st.lists(st.integers(), max_size=5),
+        st.lists(st.sampled_from([0, 1]), max_size=5),
+        st.lists(st.floats(), max_size=5),
+        st.lists(st.integers(), max_size=5),
+        st.floats(),
+    )
+    def test_outcome_writer_matches_indented_json_on_any_values(
+        self, ids, allocation, payments, winners, welfare
+    ):
+        # including ints past 64 bits, -0.0, subnormals, inf and nan
+        outcome = AuctionOutcome(tuple(ids), tuple(allocation), tuple(payments), tuple(winners), welfare)
+        payload = {f.name: getattr(outcome, f.name) for f in fields(outcome)}
+        assert cli._outcome_json(outcome) == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("entries, message", [
+        # the first bad entry is reported, whatever follows it
+        ([{"id": 0, "tx_size": 1.0, "demand": 1.0, "bid": -1}, "x"],
+         "{path}: entry 0: bid must be >= 0"),
+        ([{"id": i, "tx_size": 1.0, "demand": 1.0, "bid": 1.0} for i in range(2)]
+         + [{"id": 2, "tx_size": 1.0, "demand": 1.0}],
+         "{path}: entry 2 missing field 'bid'"),
+        ([{"id": 0, "tx_size": 1.0, "demand": 1.0, "bid": 1.0}, [1, 2]],
+         "{path}: entry 1 is not an object"),
+        # a repeated id is reported before a non-unit demand
+        ([{"id": 0, "tx_size": 1.0, "demand": 2.0, "bid": 1.0},
+          {"id": 1, "tx_size": 1.0, "demand": 1.0, "bid": 1.0},
+          {"id": 1, "tx_size": 1.0, "demand": 1.0, "bid": 2.0}],
+         "duplicate bidder id 1"),
+    ])
+    def test_roster_error_precedence(self, tmp_path, config_path, capsys, entries, message):
+        path = tmp_path / "bids.json"
+        path.write_text(json.dumps(entries))
+        out = tmp_path / "o.json"
+        code = main(["auction", "run", "--bids", str(path),
+                     "--config", str(config_path), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+        assert not out.exists()
 
     def test_capacity_defaults_to_roster_size(self, tmp_path, bids_path):
         # same config plus an explicit binding capacity must change the outcome
