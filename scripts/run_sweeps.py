@@ -18,13 +18,13 @@ import sys
 from pathlib import Path
 
 from edgeauction import (
+    DEFAULT_UNIT_COST,
     SWEEPABLE_PARAMETERS,
     default_sweep_spec,
     emit_results,
     run_sweep,
     sweep_metadata,
 )
-from edgeauction.experiments import DEFAULT_UNIT_COST
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,89 +1,15 @@
-"""Auction-based allocation of edge computing capacity to mobile miners."""
+"""Auction-based allocation of edge computing capacity to mobile miners.
 
-from .auction import (
-    AuctionConfig,
-    AuctionOutcome,
-    bidder_utility,
-    oracle_exhaustive,
-    oracle_topk,
-    run_auction,
-    select_winners_greedy,
-    vcg_payment,
-    welfare_of_set,
-)
-from .calibration import (
-    AlphaFit,
-    HashPowerSample,
-    fit_alpha,
-    load_samples,
-    predict_gamma,
-)
-from .experiments import (
-    DEFAULT_GRIDS,
-    GridMean,
-    InstancePoint,
-    RNG_FAMILY,
-    SWEEPABLE_PARAMETERS,
-    SweepSpec,
-    default_sweep_spec,
-    emit_results,
-    generate_instance,
-    run_sweep,
-    stable_instance_seed,
-    sweep_metadata,
-)
-from .model import (
-    BidderProfile,
-    BlockchainParams,
-    MarketConfig,
-    NetworkEffectParams,
-    block_win_probability,
-    ex_ante_valuation,
-    ex_post_valuation,
-    general_social_welfare,
-    hash_power,
-    network_effect,
-    orphan_probability,
-)
+The package exports the public names of its modules, each listed once, in
+that module's __all__.
+"""
+
+from . import auction, calibration, experiments, model
+from .auction import *  # noqa: F403
+from .calibration import *  # noqa: F403
+from .experiments import *  # noqa: F403
+from .model import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphaFit",
-    "AuctionConfig",
-    "AuctionOutcome",
-    "BidderProfile",
-    "BlockchainParams",
-    "DEFAULT_GRIDS",
-    "GridMean",
-    "HashPowerSample",
-    "InstancePoint",
-    "MarketConfig",
-    "NetworkEffectParams",
-    "RNG_FAMILY",
-    "SWEEPABLE_PARAMETERS",
-    "SweepSpec",
-    "bidder_utility",
-    "block_win_probability",
-    "default_sweep_spec",
-    "emit_results",
-    "ex_ante_valuation",
-    "ex_post_valuation",
-    "fit_alpha",
-    "general_social_welfare",
-    "generate_instance",
-    "hash_power",
-    "load_samples",
-    "network_effect",
-    "oracle_exhaustive",
-    "oracle_topk",
-    "orphan_probability",
-    "predict_gamma",
-    "run_auction",
-    "run_sweep",
-    "select_winners_greedy",
-    "stable_instance_seed",
-    "sweep_metadata",
-    "vcg_payment",
-    "welfare_of_set",
-]
+__all__ = [*model.__all__, *auction.__all__, *calibration.__all__, *experiments.__all__]

@@ -182,7 +182,7 @@ def select_winners_greedy(bids: Sequence[float], config: AuctionConfig) -> Winne
 
 @np.errstate(over="ignore")  # as in _clear; an infinite scale keeps every column
 def _counterfactual_welfare(cleared: _Clearing, config: AuctionConfig) -> np.ndarray:
-    """Welfare selection reaches with each winner removed, by rank.
+    """Welfare selection reaches with each winner removed, by rank; needs a winner.
 
     Each row's value is its largest cell, or 0 if none is positive, and
     every cell is the expression a literal re-run without the winner
@@ -202,7 +202,7 @@ def _counterfactual_welfare(cleared: _Clearing, config: AuctionConfig) -> np.nda
     m = cleared.m
     n = cleared.sorted_bids.size
     limit2 = min(n - 1, config.market.capacity)
-    if m == 0 or limit2 == 0:
+    if limit2 == 0:
         return np.zeros(m)
     cost = config.market.unit_cost
     coef, prefix, welfare_by_k = cleared.coef, cleared.prefix, cleared.welfare_by_k
@@ -313,13 +313,15 @@ def clear_bids(bids: np.ndarray, config: AuctionConfig) -> tuple[float, np.ndarr
     values = _validate_bids(bids)
     cleared = _clear(values, config)
     m = cleared.m
-    cost = config.market.unit_cost
-    welfare = float(cleared.welfare_by_k[m - 1]) if m > 0 else 0.0
     winner_positions = cleared.order[:m]
+    if m == 0:
+        return 0.0, winner_positions, np.zeros(values.size)
+    cost = config.market.unit_cost
+    welfare = float(cleared.welfare_by_k[m - 1])
     winner_bids = cleared.sorted_bids[:m]
 
     check = _welfare(m, sum(winner_bids.tolist()), config)
-    magnitude = float(cleared.coef[m - 1] * cleared.prefix[m]) + cost * m if m > 0 else 0.0
+    magnitude = float(cleared.coef[m - 1] * cleared.prefix[m]) + cost * m
     if abs(check - welfare) > _tolerance(magnitude):
         raise RuntimeError(
             f"internal consistency failure: welfare mismatch: {welfare!r} against {check!r} "
@@ -327,14 +329,11 @@ def clear_bids(bids: np.ndarray, config: AuctionConfig) -> tuple[float, np.ndarr
             f"bids from {float(values.min())!r} to {float(values.max())!r})"
         )
 
+    s_prime = _counterfactual_welfare(cleared, config)
+    # Welfare of the other winners as a set of their own.
+    others = _welfare(m - 1, float(cleared.prefix[m]) - winner_bids, config)
     payments = np.zeros(values.size)
-    if m > 0:
-        s_prime = _counterfactual_welfare(cleared, config)
-        # Welfare of the other winners as a set of their own.
-        others = _welfare(m - 1, float(cleared.prefix[m]) - winner_bids, config)
-        payments[winner_positions] = _clamp_payment(
-            s_prime - others, np.abs(s_prime) + np.abs(others)
-        )
+    payments[winner_positions] = _clamp_payment(s_prime - others, np.abs(s_prime) + np.abs(others))
     return welfare, winner_positions, payments
 
 

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .model import _invalid
+
 __all__ = [
     "HashPowerSample",
     "AlphaFit",
@@ -40,13 +42,13 @@ class HashPowerSample:
     observed_gamma: float
 
     def __post_init__(self) -> None:
-        if not self.varied_demand > 0:
-            raise ValueError("varied_demand must be > 0")
+        if not 0.0 < self.varied_demand < math.inf:
+            raise _invalid("varied_demand", self.varied_demand, "> 0")
         if not self.fixed_demands:
             raise ValueError("at least one competitor demand is required")
         for f in self.fixed_demands:
-            if not f > 0:
-                raise ValueError("competitor demands must be > 0")
+            if not 0.0 < f < math.inf:
+                raise _invalid("competitor demands", f, "> 0")
         if not 0.0 < self.observed_gamma < 1.0:
             raise ValueError("observed_gamma must lie strictly inside (0, 1)")
 
@@ -59,12 +61,25 @@ class AlphaFit:
 
 
 def predict_gamma(sample: HashPowerSample, alpha: float) -> float:
-    """Share the varied miner would realize under exponent alpha."""
+    """Share the varied miner would realize under exponent alpha.
+
+    Refuses a share that floats cannot hold: a power past the float range,
+    or every power underflowing to 0.
+    """
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
-    own = sample.varied_demand**alpha
-    field = sum(f**alpha for f in sample.fixed_demands)
-    return own / (own + field)
+    try:
+        own = sample.varied_demand**alpha
+        field = sum(f**alpha for f in sample.fixed_demands)
+        return own / (own + field)
+    except OverflowError:
+        reason = "a power overflows"
+    except ZeroDivisionError:
+        reason = "every power underflows to 0"
+    raise ValueError(
+        f"the share of the sample with varied_demand {sample.varied_demand!r} "
+        f"cannot be evaluated at alpha {alpha!r}: {reason}"
+    )
 
 
 def _objective(samples: Sequence[HashPowerSample], alpha: float) -> float:
@@ -88,6 +103,8 @@ def fit_alpha(
     lo, hi = float(search_interval[0]), float(search_interval[1])
     if not (0.0 < lo < hi):
         raise ValueError("search interval must satisfy 0 < lo < hi")
+    if hi == math.inf:
+        raise ValueError("search interval must be finite")
 
     step = (hi - lo) / (_GRID_POINTS - 1)
     grid = [lo + step * i for i in range(_GRID_POINTS)]

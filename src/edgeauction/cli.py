@@ -96,15 +96,32 @@ def _build_parts(config: dict, default_capacity: int) -> tuple[BlockchainParams,
         raise ValueError(f"invalid config value: {exc}") from None
 
 
+def _entry_id(value: object) -> int:
+    """A bids-file id as an int: an integer, or a float or string that holds one.
+
+    int() alone would read 2.5 as 2 and true as 1.
+    """
+    result = int(value)  # words infinity, NaN and a non-numeric string
+    if isinstance(value, bool) or (isinstance(value, float) and result != value):
+        raise ValueError(f"id must be an integer, got {json.dumps(value)}")
+    return result
+
+
 def _read_roster(path: str, data: list) -> list[BidderProfile]:
     """Bidder profiles from the entries of a bids file; BidderProfile checks each field.
 
-    The roster is built in one pass. Only when that fails are the entries
+    The roster is built in one pass, which takes an int id as it is and
+    hands any other to _entry_id. Only when that pass fails are the entries
     walked again, one by one, to word the first bad entry's error.
     """
     try:
         return [
-            BidderProfile(int(e["id"]), float(e["tx_size"]), float(e["demand"]), float(e["bid"]))
+            BidderProfile(
+                i if type(i := e["id"]) is int else _entry_id(i),
+                float(e["tx_size"]),
+                float(e["demand"]),
+                float(e["bid"]),
+            )
             for e in data
         ]
     except (KeyError, TypeError, ValueError, OverflowError):
@@ -116,7 +133,7 @@ def _read_roster(path: str, data: list) -> list[BidderProfile]:
         try:
             roster.append(
                 BidderProfile(
-                    id=int(entry["id"]),
+                    id=_entry_id(entry["id"]),
                     tx_size=float(entry["tx_size"]),
                     demand=float(entry["demand"]),
                     bid=float(entry["bid"]),

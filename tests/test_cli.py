@@ -147,6 +147,12 @@ class TestAuctionRun:
           {"id": 1, "tx_size": 1.0, "demand": 1.0, "bid": 1.0},
           {"id": 1, "tx_size": 1.0, "demand": 1.0, "bid": 2.0}],
          "duplicate bidder id 1"),
+        # an id that is not an integer is refused, not truncated by int():
+        # 2.5 and 2.9 would both read as 2, and true as 1
+        ([{"id": i, "tx_size": 1.0, "demand": 1.0, "bid": 1.0} for i in (2.5, 2.9)],
+         "{path}: entry 0: id must be an integer, got 2.5"),
+        ([{"id": i, "tx_size": 1.0, "demand": 1.0, "bid": 1.0} for i in (0, "1", True)],
+         "{path}: entry 2: id must be an integer, got true"),
     ])
     def test_roster_error_precedence(self, tmp_path, config_path, capsys, entries, message):
         path = tmp_path / "bids.json"
@@ -276,6 +282,17 @@ class TestAuctionRun:
         assert err.startswith(f"error: {path} is not valid JSON: ")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    def test_integral_ids_are_read_as_ints(self, tmp_path, config_path):
+        path = tmp_path / "bids.json"
+        path.write_text(json.dumps([
+            {"id": i, "tx_size": 1.0, "demand": 1.0, "bid": 1.0} for i in (7, 8.0, "9", -0.0)
+        ]))
+        out = tmp_path / "o.json"
+        assert main(["auction", "run", "--bids", str(path),
+                     "--config", str(config_path), "--out", str(out)]) == 0
+        ids = json.loads(out.read_text())["ids"]
+        assert ids == [7, 8, 9, 0] and all(type(i) is int for i in ids)
 
     def test_values_past_the_float_range_are_one_error_line(
         self, tmp_path, config_path, bids_path, capsys
@@ -537,6 +554,34 @@ class TestCalibrateFitAlpha:
         ])
         assert code == 1
         assert "interval" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows, bounds, message", [
+        # a power overflows inside the interval: 100**a past a = 154.1
+        (["100,0.5,80", "50,0.4,80"], ["--hi", "200"],
+         "the share of the sample with varied_demand 100.0 "
+         "cannot be evaluated at alpha 154.53254901960784: a power overflows"),
+        (["1e300,0.5,80", "50,0.4,80"], [],
+         "the share of the sample with varied_demand 1e+300 "
+         "cannot be evaluated at alpha 1.0415686274509806: a power overflows"),
+        # every power underflows to 0
+        (["1e-300,0.5,2e-300", "3e-300,0.4,2e-300"], [],
+         "the share of the sample with varied_demand 1e-300 "
+         "cannot be evaluated at alpha 1.08: every power underflows to 0"),
+        (["100,0.5,80", "50,0.4,80"], ["--hi", "inf"], "search interval must be finite"),
+        (["inf,0.5,80", "50,0.4,80"], [], "varied_demand must be finite"),
+        (["nan,0.5,80", "50,0.4,80"], [], "varied_demand must be finite"),
+        (["100,0.5,80", "50,0.4,inf"], [], "competitor demands must be finite"),
+    ])
+    def test_a_fit_it_cannot_evaluate_is_one_error_line(
+        self, tmp_path, capsys, rows, bounds, message
+    ):
+        path = tmp_path / "samples.csv"
+        path.write_text("\n".join(["varied_demand,observed_gamma,competitor_1", *rows]) + "\n")
+        code = main(["calibrate", "fit-alpha", "--samples", str(path), *bounds])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
     def test_field_past_the_csv_limit_is_one_error_line(self, tmp_path, capsys):
         path = tmp_path / "samples.csv"
