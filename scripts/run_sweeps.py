@@ -41,10 +41,17 @@ def main(argv: list[str] | None = None) -> int:
         help="per-unit capacity cost (default %(default)s, the standard market)",
     )
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    # A failed write or a refused setting, reported as the edgeauction command does.
+    except (OSError, ValueError, RuntimeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
+
+def _run(args: argparse.Namespace) -> int:
+    # emit_results makes the directory, so a refused setting leaves none behind.
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     for param in SWEEPABLE_PARAMETERS:
         spec = default_sweep_spec(
             param,

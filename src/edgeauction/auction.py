@@ -11,10 +11,9 @@ welfare; payments charge each winner the externality it imposes, computed
 from a counterfactual run without that winner. The counterfactual without
 the highest bid bounds every other one from below, and the prefix welfare
 bounds each from above, so all of them are read off the few columns where
-the prefix welfare reaches that lower bound. A winner's columns up to its
-own rank hold the prefix welfare itself, so they are one running maximum
-shared by all winners; the columns past it fill blocks with a column per
-winner, so the maximum over the kept columns runs along contiguous rows.
+the prefix welfare reaches that lower bound. Those columns are cut into
+blocks that hold every winner's cell of each column, so the maximum over
+the kept columns runs along contiguous rows.
 
 Two independent oracles are provided for cross-checking selection: an
 exact scan over top-k prefixes and an exhaustive subset enumeration (the
@@ -70,9 +69,6 @@ _SUBNORMAL_MARGIN = 4 * np.finfo(float).smallest_subnormal
 
 # Cells per block of counterfactual welfare: about 2 MB per temporary array.
 _CELL_BUDGET = 1 << 18
-# Rows per block, at most: with many kept columns a block is cut along them
-# instead, so its maximum still runs along rows this long.
-_BLOCK_ROWS = 1 << 10
 
 _MAX_EXHAUSTIVE_BIDDERS = 20
 
@@ -191,13 +187,11 @@ def _counterfactual_welfare(cleared: _Clearing, config: AuctionConfig) -> np.nda
     row 0 drops the highest bid, and dropping one bid from the top k + 1
     leaves at most the top k. So a positive row maximum sits at a column
     whose S(k) reaches R_0, row 0's maximum floored at 0, and only those
-    columns K are read. A row splits in two halves. For k <= t the cell is
-    S(k) itself, so that half of every row is one running maximum of S over
-    K. For k > t it is w(k)/k (prefix[k+1] - b_t) - c k, computed in
-    column-major blocks of kept columns by rows and reduced over K; only
-    rows t < max K have such cells. O(n + m |K|) in all. A block holds up to
-    _BLOCK_ROWS rows and stays under a fixed cell budget, so memory does not
-    grow with the roster, and a large K is cut into several blocks.
+    columns K are read. The cell at column k is w(k)/k times prefix[k] for
+    k <= t, where the top k bids are kept, or prefix[k + 1] - b_t for k > t,
+    less c k; for k <= t that is S(k) to the bit. O(n + m |K|) in all. K is
+    cut into blocks that hold all m rows of each of their columns, under a
+    fixed cell budget, so memory does not grow with the roster.
     """
     m = cleared.m
     n = cleared.sorted_bids.size
@@ -217,33 +211,18 @@ def _counterfactual_welfare(cleared: _Clearing, config: AuctionConfig) -> np.nda
     if ks.size == 0:
         return np.zeros(m)
 
-    # The k <= t half: S(k) at index k, so row t reads the running maximum.
     best = np.full(m, -np.inf)
-    low = ks[ks < m]
-    best[low] = welfare_by_k[low - 1]
-    np.maximum.accumulate(best, out=best)
-
-    # The k > t half: a block holds one column per winner, so its maximum over
-    # K runs along contiguous rows.
-    rows = min(m, int(ks[-1]))
-    width = min(rows, _BLOCK_ROWS)
-    depth = max(1, _CELL_BUDGET // width)
-    col_sums = prefix[ks + 1, None]
-    col_coef = coef[ks - 1, None]
-    col_cost = (cost * ks)[:, None]
-    for lo in range(0, rows, width):
-        hi = min(rows, lo + width)
-        for j in range(0, ks.size, depth):
-            cols = slice(j, j + depth)
-            block = col_sums[cols] - bids[lo:hi]
-            block *= col_coef[cols]
-            block -= col_cost[cols]
-            if hi > ks[j]:
-                # cells with k <= t belong to the other half; rows before ks[j] have none
-                start = max(lo, int(ks[j]))
-                mask = ks[cols, None] <= np.arange(start, hi)
-                np.copyto(block[:, start - lo :], -np.inf, where=mask)
-            np.maximum(best[lo:hi], block.max(axis=0), out=best[lo:hi])
+    ranks = np.arange(m)
+    depth = max(1, _CELL_BUDGET // m)
+    for j in range(0, ks.size, depth):
+        cols = ks[j : j + depth, None]
+        block = prefix[cols + 1] - bids
+        # rows before the block's first kept column have no cell with k <= t
+        start = int(cols[0, 0])
+        np.copyto(block[:, start:], prefix[cols], where=cols <= ranks[start:])
+        block *= coef[cols - 1]
+        block -= cost * cols
+        np.maximum(best, block.max(axis=0), out=best)
     return np.where(best > 0.0, best, 0.0)
 
 
@@ -306,9 +285,8 @@ def clear_bids(bids: np.ndarray, config: AuctionConfig) -> tuple[float, np.ndarr
     Selection and pricing share one descending sort plus prefix sums;
     payments match a literal re-run of the selection for every winner, at
     O(n log n + m |K|) in all, where K is the set of columns the dominance
-    bound of _counterfactual_welfare leaves to read. A winner's columns
-    k <= t read one running maximum of the prefix welfare, and its columns
-    k > t column-major blocks of kept columns by winners.
+    bound of _counterfactual_welfare leaves to read; each winner's cell at a
+    kept column is the expression its literal re-run evaluates there.
     """
     values = _validate_bids(bids)
     cleared = _clear(values, config)

@@ -63,15 +63,17 @@ class AlphaFit:
 def predict_gamma(sample: HashPowerSample, alpha: float) -> float:
     """Share the varied miner would realize under exponent alpha.
 
-    Refuses a share that floats cannot hold: a power past the float range,
-    or every power underflowing to 0.
+    Refuses a share that floats cannot hold: a power or the sum of the
+    powers past the float range, or every power underflowing to 0.
     """
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
     try:
         own = sample.varied_demand**alpha
-        field = sum(f**alpha for f in sample.fixed_demands)
-        return own / (own + field)
+        total = own + sum(f**alpha for f in sample.fixed_demands)
+        if total < math.inf:
+            return own / total
+        reason = "the sum of the powers overflows"
     except OverflowError:
         reason = "a power overflows"
     except ZeroDivisionError:
@@ -117,11 +119,15 @@ def fit_alpha(
     a = grid[max(best - 1, 0)]
     b = grid[min(best + 1, _GRID_POINTS - 1)]
 
-    # Golden-section refinement on the bracketing interval.
+    # Golden-section refinement on the bracketing interval. Where adjacent
+    # floats lie farther apart than the tolerance the bracket stops shrinking;
+    # the probes then cycle, so the search stops at a state it has seen before.
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = _objective(data, x1), _objective(data, x2)
-    while b - a > _REFINE_TOLERANCE:
+    seen = set()
+    while b - a > _REFINE_TOLERANCE and (a, b, x1, x2) not in seen:
+        seen.add((a, b, x1, x2))
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _INVPHI * (b - a)

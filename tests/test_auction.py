@@ -363,21 +363,24 @@ class TestRunAuction:
         magnitude = sum(bids) + config.market.unit_cost * len(bids)
         assert abs(welfare_of_set([bids[i] for i in winners], config) - best) <= 1e-9 * magnitude
 
+    @pytest.mark.parametrize("cell_budget", [24, 1])
     @given(_markets())
-    # S-shaped, with masked rows in blocks past the first: leaving a k = t
-    # cell unmasked, or masking by the row's offset in its block, moves a payment
+    # S-shaped, with k <= t cells in blocks past the first: missing the k = t
+    # cell, or starting the k <= t cells at the wrong row, moves a payment
     @example(([1.8, 0.8, 0.4, 1.5, 4.2, 2.6, 0.9, 0.2],
               _config(unit_cost=0.05, capacity=8, network=NetworkEffectParams(10.0, 0.2))))
     @example(([0.2, 0.3, 1.1, 1.7, 2.2, 0.7, 0.9, 0.8, 0.5],
               _config(unit_cost=0.02, capacity=8, network=NetworkEffectParams(5.0, 0.3))))
     @settings(max_examples=300, deadline=None)
-    def test_payments_across_many_small_pricing_blocks_equal_the_literal_loop(self, market):
-        # Blocks of at most 5 rows by 24 // 5 columns: block edges fall inside
-        # the rows [ks[0], max K) whose k <= t cells are masked, as well as
-        # before and after them, and between the kept columns.
+    def test_payments_across_many_small_pricing_blocks_equal_the_literal_loop(
+        self, cell_budget, market
+    ):
+        # Blocks of 24 // m kept columns, or of one column each at a budget of
+        # 1: block edges fall between the kept columns, so every block past
+        # the first starts its k <= t cells at its own first kept column.
         bids, config = market
         roster = [BidderProfile(id=i, tx_size=0.0, demand=1.0, bid=b) for i, b in enumerate(bids)]
-        with mock.patch.multiple(auction, _CELL_BUDGET=24, _BLOCK_ROWS=5):
+        with mock.patch.object(auction, "_CELL_BUDGET", cell_budget):
             outcome = run_auction(roster, config)
         payments, welfare, _, _ = _reference_clearing(roster, config)
         assert outcome.payments == payments
@@ -385,9 +388,9 @@ class TestRunAuction:
 
     def test_pricing_blocks_past_the_first_equal_the_literal_loop(self):
         # Without the 1e4 bid every prefix of 1.0 bids gains welfare, so every
-        # column passes the bound: the k > t cells of 800 winners over 800
-        # columns fill three blocks of _CELL_BUDGET // 800 = 327 columns, and
-        # both block edges fall inside the masked rows from ks[0] = 1.
+        # column passes the bound: the cells of 800 winners over 800 columns
+        # fill three blocks of _CELL_BUDGET // 800 = 327 columns, whose k <= t
+        # cells start at rows 1, 328 and 655.
         bids = [1e4] + [1.0] * 999
         roster = [BidderProfile(id=i, tx_size=0.0, demand=1.0, bid=b) for i, b in enumerate(bids)]
         config = _config(unit_cost=0.0, capacity=800, network=NetworkEffectParams(0.5, 1e-6))

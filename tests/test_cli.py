@@ -1,7 +1,12 @@
-"""End-to-end tests of the command-line interface, run in process."""
+"""End-to-end tests of the command-line interface, run in process unless a timeout is needed."""
 
 import json
+import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -563,6 +568,10 @@ class TestCalibrateFitAlpha:
         (["1e300,0.5,80", "50,0.4,80"], [],
          "the share of the sample with varied_demand 1e+300 "
          "cannot be evaluated at alpha 1.0415686274509806: a power overflows"),
+        # the powers are finite but their sum is not: 2 * 1e308 at a = 2
+        (["1e154,0.5,1e154,1e154", "50,0.4,80"], ["--lo", "2", "--hi", "3"],
+         "the share of the sample with varied_demand 1e+154 "
+         "cannot be evaluated at alpha 2.0: the sum of the powers overflows"),
         # every power underflows to 0
         (["1e-300,0.5,2e-300", "3e-300,0.4,2e-300"], [],
          "the share of the sample with varied_demand 1e-300 "
@@ -582,6 +591,31 @@ class TestCalibrateFitAlpha:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
+
+    def test_fit_where_adjacent_floats_outgrow_the_tolerance_returns(self, tmp_path):
+        # The minimum lies near alpha = 1e10, where adjacent floats are 2e-6
+        # apart, so the bracket stops shrinking long before the 1e-9 tolerance.
+        # A subprocess with a timeout fails a search that never stops instead
+        # of hanging the suite.
+        share = [math.exp(g) / (math.exp(g) + 1.0) for g in (10.0, 5.0)]
+        path = tmp_path / "samples.csv"
+        path.write_text(
+            "varied_demand,observed_gamma,competitor_1\n"
+            f"{1 + 1e-9!r},{share[0]!r},1\n"
+            f"{1 + 5e-10!r},{share[1]!r},1\n"
+        )
+        src = Path(cli.__file__).resolve().parents[1]
+        path_entries = [str(src), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path_entries))
+        result = subprocess.run(
+            [sys.executable, "-m", "edgeauction.cli", "calibrate", "fit-alpha",
+             "--samples", str(path), "--hi", "2e10"],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert float(lines[0].removeprefix("alpha: ")) == pytest.approx(1e10, rel=1e-6)
+        assert lines[2] == "degenerate: false"
 
     def test_field_past_the_csv_limit_is_one_error_line(self, tmp_path, capsys):
         path = tmp_path / "samples.csv"

@@ -404,11 +404,16 @@ def test_default_sweep_bytes_match_recorded_digests(tmp_path):
         assert actual == digest, f"{name} changed: sha256 {actual}"
 
 
-def test_run_sweeps_script_writes_the_emitted_files(tmp_path):
+def _load_run_sweeps():
     script = Path(__file__).resolve().parent.parent / "scripts" / "run_sweeps.py"
     loader = importlib.util.spec_from_file_location("run_sweeps", script)
     run_sweeps = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(run_sweeps)
+    return run_sweeps
+
+
+def test_run_sweeps_script_writes_the_emitted_files(tmp_path):
+    run_sweeps = _load_run_sweeps()
     by_script, direct = tmp_path / "script", tmp_path / "direct"
     argv = ["--out-dir", str(by_script), "--instances", "1", "--unit-cost", "0.001"]
     assert run_sweeps.main(argv) == 0
@@ -424,3 +429,16 @@ def test_run_sweeps_script_writes_the_emitted_files(tmp_path):
     assert written == sorted(p.name for p in direct.iterdir())
     for name in written:
         assert (by_script / name).read_bytes() == (direct / name).read_bytes()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--instances", "0"], "instances_per_point must be >= 1"),
+    (["--unit-cost", "nan"], "unit_cost must be finite"),
+])
+def test_run_sweeps_script_reports_a_refused_setting_as_one_error_line(
+    tmp_path, capsys, args, message
+):
+    out_dir = tmp_path / "out"
+    assert _load_run_sweeps().main(["--out-dir", str(out_dir), *args]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
