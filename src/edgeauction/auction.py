@@ -98,6 +98,8 @@ class AuctionOutcome:
 
 def _validate_bids(bids: Sequence[float] | np.ndarray) -> np.ndarray:
     values = np.asarray(bids, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"bids must be one-dimensional, got shape {values.shape}")
     if not (np.isfinite(values).all() and (values >= 0.0).all()):
         raise ValueError("bids must be finite and >= 0")
     return values
@@ -194,10 +196,7 @@ def _counterfactual_welfare(cleared: _Clearing, config: AuctionConfig) -> np.nda
     fixed cell budget, so memory does not grow with the roster.
     """
     m = cleared.m
-    n = cleared.sorted_bids.size
-    limit2 = min(n - 1, config.market.capacity)
-    if limit2 == 0:
-        return np.zeros(m)
+    limit2 = min(cleared.sorted_bids.size - 1, config.market.capacity)
     cost = config.market.unit_cost
     coef, prefix, welfare_by_k = cleared.coef, cleared.prefix, cleared.welfare_by_k
     bids = cleared.sorted_bids[:m]
@@ -205,11 +204,9 @@ def _counterfactual_welfare(cleared: _Clearing, config: AuctionConfig) -> np.nda
     # Row 0 has no column k <= 0: every one of its cells drops the highest bid.
     every = np.arange(1, limit2 + 1)
     row0 = coef[:limit2] * (prefix[2 : limit2 + 2] - bids[0]) - cost * every
-    floor = max(0.0, float(row0.max()))
-    scale = (coef[:limit2] * prefix[2 : limit2 + 2] + cost * every).max()
+    floor = row0.max(initial=0.0)
+    scale = (coef[:limit2] * prefix[2 : limit2 + 2] + cost * every).max(initial=0.0)
     ks = every[welfare_by_k[:limit2] >= floor - (_BOUND_MARGIN * scale + _SUBNORMAL_MARGIN)]
-    if ks.size == 0:
-        return np.zeros(m)
 
     best = np.full(m, -np.inf)
     ranks = np.arange(m)
@@ -276,12 +273,21 @@ def _clamp_payment(p, magnitude=1.0):
     return np.where(p < 0.0, 0.0, p)
 
 
+def _instance(values: np.ndarray, m: int, config: AuctionConfig) -> str:
+    """The instance a consistency failure of clear_bids names, built only to raise."""
+    return (
+        f"(n={values.size}, m={m}, capacity={config.market.capacity}, "
+        f"bids from {float(values.min())!r} to {float(values.max())!r})"
+    )
+
+
 def clear_bids(bids: np.ndarray, config: AuctionConfig) -> tuple[float, np.ndarray, np.ndarray]:
     """Clear one bid vector: welfare, winner positions and every payment.
 
     The array core under run_auction. Winner positions index the bids in
     admission order; payments are aligned with the bids, losers paying 0.
-    Bids must be finite and >= 0, and their sum must not overflow.
+    Bids must be a one-dimensional vector of values that are finite and
+    >= 0, and their sum must not overflow.
     Selection and pricing share one descending sort plus prefix sums;
     payments match a literal re-run of the selection for every winner, at
     O(n log n + m |K|) in all, where K is the set of columns the dominance
@@ -303,15 +309,17 @@ def clear_bids(bids: np.ndarray, config: AuctionConfig) -> tuple[float, np.ndarr
     if abs(check - welfare) > _tolerance(magnitude):
         raise RuntimeError(
             f"internal consistency failure: welfare mismatch: {welfare!r} against {check!r} "
-            f"(n={values.size}, m={m}, capacity={config.market.capacity}, "
-            f"bids from {float(values.min())!r} to {float(values.max())!r})"
+            f"{_instance(values, m, config)}"
         )
 
     s_prime = _counterfactual_welfare(cleared, config)
     # Welfare of the other winners as a set of their own.
     others = _welfare(m - 1, float(cleared.prefix[m]) - winner_bids, config)
     payments = np.zeros(values.size)
-    payments[winner_positions] = _clamp_payment(s_prime - others, np.abs(s_prime) + np.abs(others))
+    try:
+        payments[winner_positions] = _clamp_payment(s_prime - others, np.abs(s_prime) + np.abs(others))
+    except RuntimeError as exc:
+        raise RuntimeError(f"{exc} {_instance(values, m, config)}") from None
     return welfare, winner_positions, payments
 
 

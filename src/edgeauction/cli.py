@@ -110,12 +110,13 @@ def _entry_id(value: object) -> int:
 def _read_roster(path: str, data: list) -> list[BidderProfile]:
     """Bidder profiles from the entries of a bids file; BidderProfile checks each field.
 
-    The roster is built in one pass, which takes an int id as it is and
-    hands any other to _entry_id. Only when that pass fails are the entries
-    walked again, one by one, to word the first bad entry's error.
+    The roster is built in one walk, which takes an int id as it is and
+    hands any other to _entry_id; the first entry it fails on is the one
+    whose error is worded. Positional arguments keep the walk fast.
     """
+    roster: list[BidderProfile] = []
     try:
-        return [
+        roster.extend(
             BidderProfile(
                 i if type(i := e["id"]) is int else _entry_id(i),
                 float(e["tx_size"]),
@@ -123,26 +124,16 @@ def _read_roster(path: str, data: list) -> list[BidderProfile]:
                 float(e["bid"]),
             )
             for e in data
-        ]
-    except (KeyError, TypeError, ValueError, OverflowError):
-        pass
-    roster = []
-    for pos, entry in enumerate(data):
-        if not isinstance(entry, dict):
-            raise ValueError(f"{path}: entry {pos} is not an object")
-        try:
-            roster.append(
-                BidderProfile(
-                    id=_entry_id(entry["id"]),
-                    tx_size=float(entry["tx_size"]),
-                    demand=float(entry["demand"]),
-                    bid=float(entry["bid"]),
-                )
-            )
-        except KeyError as exc:
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # list.extend keeps the items it appended before the generator
+        # raised, so the failing entry is the next one.
+        pos = len(roster)
+        if not isinstance(data[pos], dict):
+            raise ValueError(f"{path}: entry {pos} is not an object") from None
+        if isinstance(exc, KeyError):
             raise ValueError(f"{path}: entry {pos} missing field {exc}") from None
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{path}: entry {pos}: {exc}") from None
+        raise ValueError(f"{path}: entry {pos}: {exc}") from None
     return roster
 
 

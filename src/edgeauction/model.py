@@ -250,14 +250,20 @@ def general_social_welfare(
 ) -> float:
     """Sum of ex-post valuations minus the provider's cost.
 
-    The all-zero allocation is worth exactly 0 by convention.
+    The all-zero allocation is worth exactly 0 by convention. Hash power and
+    the network effect are computed once; each served miner's term is the
+    product ex_post_valuation returns for it, in the same order.
     """
-    _check_allocation([p.demand for p in profiles], allocation)
+    demands = [p.demand for p in profiles]
+    _check_allocation(demands, allocation)
     if not any(allocation):
         return 0.0
+    gammas = hash_power(demands, allocation, market.hash_exponent)
+    total = sum(d * x for d, x in zip(demands, allocation))
+    w = network_effect(total, network)
     value = sum(
-        ex_post_valuation(i, profiles, allocation, blockchain, network, market.hash_exponent)
-        for i in range(len(profiles))
+        float(g) * w * ex_ante_valuation(p.tx_size, blockchain)
+        for p, g, x in zip(profiles, gammas, allocation)
+        if x != 0
     )
-    cost = market.unit_cost * sum(p.demand * x for p, x in zip(profiles, allocation))
-    return value - cost
+    return value - market.unit_cost * total

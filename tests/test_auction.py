@@ -307,6 +307,14 @@ class TestSelection:
         with pytest.raises(ValueError, match="^bids must be finite and >= 0$"):
             check([1.0, bad], _config())
 
+    @pytest.mark.parametrize(
+        "check", [welfare_of_set, oracle_topk, select_winners_greedy, clear_bids],
+        ids=lambda f: f.__name__,
+    )
+    def test_rejects_bids_that_are_not_one_dimensional(self, check):
+        with pytest.raises(ValueError, match=r"^bids must be one-dimensional, got shape \(1, 2\)$"):
+            check([[1.0, 2.0]], _config())
+
 
 class TestRunAuction:
     def test_batch_payments_match_naive_counterfactuals(self):
@@ -531,16 +539,23 @@ class TestClearBids:
         with pytest.raises(ValueError, match=reason):
             clear_bids(np.array([1.0, bad, 2.0]), _config())
 
-    def test_welfare_mismatch_names_the_instance(self, monkeypatch):
-        bids = np.array([10.0, 8.0, 1.0])
-        _, winners, _ = clear_bids(bids, _config())
+    @pytest.mark.parametrize("name, broken, reason", [
         # the consistency check evaluates the set welfare through _welfare; the
         # kernel computes its prefix welfare on its own
-        original = auction._welfare
-        monkeypatch.setattr(auction, "_welfare", lambda k, total, c: 2.0 * original(k, total, c))
+        ("_welfare", lambda original: lambda k, total, c: 2.0 * original(k, total, c),
+         "welfare mismatch"),
+        # a counterfactual below the other winners' welfare prices every winner below 0
+        ("_counterfactual_welfare", lambda original: lambda cleared, c: np.full(cleared.m, -1.0),
+         "is negative beyond tolerance"),
+    ], ids=["welfare_mismatch", "negative_payment"])
+    def test_welfare_mismatch_names_the_instance(self, monkeypatch, name, broken, reason):
+        bids = np.array([10.0, 8.0, 1.0])
+        _, winners, _ = clear_bids(bids, _config())
+        monkeypatch.setattr(auction, name, broken(getattr(auction, name)))
         expected = f"(n=3, m={winners.size}, capacity=3, bids from 1.0 to 10.0)"
-        with pytest.raises(RuntimeError, match="welfare mismatch") as exc:
+        with pytest.raises(RuntimeError, match=reason) as exc:
             clear_bids(bids, _config())
+        assert str(exc.value).startswith("internal consistency failure: ")
         assert str(exc.value).endswith(expected)
 
     def test_cached_curve_is_read_only(self):

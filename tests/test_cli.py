@@ -158,6 +158,16 @@ class TestAuctionRun:
          "{path}: entry 0: id must be an integer, got 2.5"),
         ([{"id": i, "tx_size": 1.0, "demand": 1.0, "bid": 1.0} for i in (0, "1", True)],
          "{path}: entry 2: id must be an integer, got true"),
+        # far into the file, past a thousand good entries
+        ([{"id": i, "tx_size": 1.0, "demand": 1.0, "bid": 1.0} for i in range(1000)]
+         + [{"id": 1000, "tx_size": 1.0, "bid": 1.0}],
+         "{path}: entry 1000 missing field 'demand'"),
+        # every JSON kind that is not an object, after k good entries and before a bad one
+        *(
+            ([{"id": 0, "tx_size": 1.0, "demand": 1.0, "bid": 1.0}] * k + [bad, {}],
+             f"{{path}}: entry {k} is not an object")
+            for k, bad in enumerate(["x", 3, None, True, [1, 2]])
+        ),
     ])
     def test_roster_error_precedence(self, tmp_path, config_path, capsys, entries, message):
         path = tmp_path / "bids.json"

@@ -325,3 +325,8 @@ def test_general_welfare_with_non_unit_demands():
     )
     got = general_social_welfare(profiles, [1, 1], blockchain, network, market)
     assert got == pytest.approx(expected, abs=1e-12)
+    # to the bit, the per-miner ex-post valuations less the cost
+    per_miner = sum(
+        ex_post_valuation(i, profiles, [1, 1], blockchain, network, 1.2) for i in range(2)
+    )
+    assert got == per_miner - 0.02 * 5.0
