@@ -27,7 +27,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,6 +46,8 @@ __all__ = [
     "select_winners_greedy",
     "vcg_payment",
     "run_auction",
+    "RosterColumns",
+    "clear_roster",
     "clear_bids",
     "oracle_topk",
     "oracle_exhaustive",
@@ -223,9 +225,9 @@ def _counterfactual_welfare(cleared: _Clearing, config: AuctionConfig) -> np.nda
     return np.where(best > 0.0, best, 0.0)
 
 
-def _roster_ids(roster: Sequence[BidderProfile]) -> tuple[int, ...]:
-    """Bidder ids in submission order; refuses a roster that repeats one."""
-    ids = tuple([p.id for p in roster])  # a list first: a third faster than a generator
+def _roster_ids(ids: Iterable[int]) -> tuple[int, ...]:
+    """Bidder ids in submission order, as a tuple; refuses a roster that repeats one."""
+    ids = tuple(ids)
     if len(set(ids)) != len(ids):
         repeated = next(i for i, count in Counter(ids).items() if count > 1)
         raise ValueError(f"duplicate bidder id {repeated}")
@@ -244,7 +246,7 @@ def vcg_payment(
     the winner, so no step of the clearing kernel is shared, then subtracts
     the welfare of the remaining winners evaluated as a set of their own.
     """
-    _roster_ids(roster)
+    _roster_ids([p.id for p in roster])
     by_id = {p.id: p.bid for p in roster}
     if winner_id not in by_id:
         raise ValueError(f"unknown bidder id {winner_id}")
@@ -284,7 +286,7 @@ def _instance(values: np.ndarray, m: int, config: AuctionConfig) -> str:
 def clear_bids(bids: np.ndarray, config: AuctionConfig) -> tuple[float, np.ndarray, np.ndarray]:
     """Clear one bid vector: welfare, winner positions and every payment.
 
-    The array core under run_auction. Winner positions index the bids in
+    The array core under clear_roster. Winner positions index the bids in
     admission order; payments are aligned with the bids, losers paying 0.
     Bids must be a one-dimensional vector of values that are finite and
     >= 0, and their sum must not overflow.
@@ -323,22 +325,55 @@ def clear_bids(bids: np.ndarray, config: AuctionConfig) -> tuple[float, np.ndarr
     return welfare, winner_positions, payments
 
 
-def run_auction(roster: Sequence[BidderProfile], config: AuctionConfig) -> AuctionOutcome:
-    """Clear one auction: select winners, price every winner, assemble the outcome.
+@dataclass(frozen=True, eq=False)
+class RosterColumns:
+    """A roster held as columns: ids, tx sizes, demands and bids in submission order.
+
+    run_auction clears it through clear_roster without a BidderProfile per
+    bidder. It still reads as the roster it holds: its length is the number
+    of bidders, and iterating it builds each bidder's profile in turn.
+    """
+
+    ids: Sequence[int]
+    tx_sizes: Sequence[float] | np.ndarray
+    demands: Sequence[float] | np.ndarray
+    bids: Sequence[float] | np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[BidderProfile]:
+        numbers = (map(float, c) for c in (self.tx_sizes, self.demands, self.bids))
+        return map(BidderProfile, self.ids, *numbers)
+
+
+def clear_roster(
+    ids: Sequence[int],
+    demands: Sequence[float] | np.ndarray,
+    bids: Sequence[float] | np.ndarray,
+    config: AuctionConfig,
+) -> AuctionOutcome:
+    """Clear one auction given as columns: ids, demands and bids in submission order.
 
     The roster edge of clear_bids: it refuses repeated ids and non-unit
-    demands, for which the rules are not defined, and reports by bidder id.
+    demands, for which the rules are not defined, and reports by bidder id
+    and by the demand as given (an element of a float array prints as a
+    float does).
     """
-    ids = _roster_ids(roster)
-    for p in roster:
-        if p.demand != 1.0:
-            raise ValueError(
-                f"bidder {p.id} demands {p.demand} units; the auction requires unit demands"
-            )
-    welfare, winner_positions, payments = clear_bids(
-        np.array([p.bid for p in roster], dtype=float), config
-    )
-    allocation = np.zeros(len(roster), dtype=int)
+    ids = _roster_ids(ids)
+    if not len(ids) == len(demands) == len(bids):
+        raise ValueError(
+            f"ids, demands and bids must have the same length, "
+            f"got {len(ids)}, {len(demands)} and {len(bids)}"
+        )
+    non_unit = np.flatnonzero(np.asarray(demands, dtype=float) != 1.0)
+    if non_unit.size:
+        i = int(non_unit[0])
+        raise ValueError(
+            f"bidder {ids[i]} demands {demands[i]} units; the auction requires unit demands"
+        )
+    welfare, winner_positions, payments = clear_bids(bids, config)
+    allocation = np.zeros(len(ids), dtype=int)
     allocation[winner_positions] = 1
     return AuctionOutcome(
         ids=ids,
@@ -346,6 +381,20 @@ def run_auction(roster: Sequence[BidderProfile], config: AuctionConfig) -> Aucti
         payments=tuple(payments.tolist()),
         winners=tuple(ids[i] for i in winner_positions.tolist()),
         welfare=welfare,
+    )
+
+
+def run_auction(
+    roster: Sequence[BidderProfile] | RosterColumns, config: AuctionConfig
+) -> AuctionOutcome:
+    """Clear one auction of bidder profiles: clear_roster on the roster's columns.
+
+    A RosterColumns already holds them, so no profile is built for it.
+    """
+    if isinstance(roster, RosterColumns):
+        return clear_roster(roster.ids, roster.demands, roster.bids, config)
+    return clear_roster(
+        [p.id for p in roster], [p.demand for p in roster], [p.bid for p in roster], config
     )
 
 
@@ -391,7 +440,7 @@ def oracle_exhaustive(
         raise ValueError(
             f"exhaustive enumeration over {n} bidders refused (limit {_MAX_EXHAUSTIVE_BIDDERS})"
         )
-    ids = _roster_ids(roster)
+    ids = _roster_ids([p.id for p in roster])
     demands = np.array([p.demand for p in roster], dtype=float)
     bids = np.array([p.bid for p in roster], dtype=float)
     weights = demands ** config.market.hash_exponent

@@ -17,9 +17,12 @@ import argparse
 import json
 import sys
 from dataclasses import fields
+from operator import itemgetter
 from pathlib import Path
 
-from .auction import AuctionConfig, AuctionOutcome, run_auction
+import numpy as np
+
+from .auction import AuctionConfig, AuctionOutcome, RosterColumns, run_auction
 from .calibration import fit_alpha, load_samples
 from .experiments import (
     SweepSpec,
@@ -33,6 +36,7 @@ from .model import (
     BlockchainParams,
     MarketConfig,
     NetworkEffectParams,
+    _profile_in_bounds,
 )
 
 __all__ = ["main"]
@@ -112,7 +116,8 @@ def _read_roster(path: str, data: list) -> list[BidderProfile]:
 
     The roster is built in one walk, which takes an int id as it is and
     hands any other to _entry_id; the first entry it fails on is the one
-    whose error is worded. Positional arguments keep the walk fast.
+    whose error is worded. It is the reference reading of a bids file:
+    auction run reads columns instead, and walks only to word a refusal.
     """
     roster: list[BidderProfile] = []
     try:
@@ -135,6 +140,33 @@ def _read_roster(path: str, data: list) -> list[BidderProfile]:
             raise ValueError(f"{path}: entry {pos} missing field {exc}") from None
         raise ValueError(f"{path}: entry {pos}: {exc}") from None
     return roster
+
+
+def _read_columns(path: str, data: list) -> RosterColumns:
+    """The entries of a bids file as a roster of columns, read a column at a time.
+
+    Each column applies what _read_roster applies to one entry: an int id
+    is taken as it is and any other goes through _entry_id, the numbers
+    through float(), and BidderProfile's bounds (model._profile_in_bounds)
+    are checked over whole columns, tx_size too although clearing does not
+    use it. If any entry is refused, _read_roster walks the entries and
+    words the first bad one.
+    """
+    n = len(data)
+    try:
+        ids = [i if type(i) is int else _entry_id(i) for i in map(itemgetter("id"), data)]
+        tx_sizes, demands, bids = (
+            np.fromiter(map(float, map(itemgetter(key), data)), float, n)
+            for key in ("tx_size", "demand", "bid")
+        )
+        if all(ok.all() for ok in _profile_in_bounds(tx_sizes, demands, bids)):
+            return RosterColumns(ids, tx_sizes, demands, bids)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass
+    _read_roster(path, data)
+    raise RuntimeError(
+        f"internal consistency failure: {path}: the column read refused entries the walk accepts"
+    )
 
 
 # Between the items of a list one level inside the outcome object, as indent=2 writes them.
@@ -166,7 +198,8 @@ def _cmd_auction_run(args: argparse.Namespace) -> int:
     data = _load_json(args.bids)
     if not isinstance(data, list):
         raise ValueError(f"{args.bids}: expected a JSON array of bidder objects")
-    roster = _read_roster(args.bids, data)
+    roster = _read_columns(args.bids, data)
+    del data  # freed before clearing, so the cyclic GC has fewer objects to walk
 
     _, network, market = _build_parts(config, max(len(roster), 1))
     outcome = run_auction(roster, AuctionConfig(market=market, network=network))

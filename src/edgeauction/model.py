@@ -44,10 +44,11 @@ __all__ = [
 ]
 
 
-# Every field check below is one chained comparison, which NaN and the
-# infinities fail as well: a BidderProfile is built for every bidder of
-# a roster, so the checks stay that cheap. Only a failed check pays
-# for telling the two reasons apart.
+# Every field check below is one chained comparison, or one pair of
+# comparisons for BidderProfile, which NaN and the infinities fail as
+# well: a BidderProfile is built for every bidder of a roster, so the
+# checks stay that cheap. Only a failed check pays for telling the two
+# reasons apart.
 def _invalid(name: str, value: float, bound: str) -> ValueError:
     if not math.isfinite(value):
         return ValueError(f"{name} must be finite")
@@ -117,12 +118,27 @@ class BidderProfile:
     bid: float      # b >= 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.tx_size < math.inf:
-            raise _invalid("tx_size", self.tx_size, ">= 0")
-        if not 0.0 < self.demand < math.inf:
-            raise _invalid("demand", self.demand, "> 0")
-        if not 0.0 <= self.bid < math.inf:
-            raise _invalid("bid", self.bid, ">= 0")
+        in_bounds = _profile_in_bounds(self.tx_size, self.demand, self.bid)
+        if not all(in_bounds):
+            name, bound = _PROFILE_BOUNDS[in_bounds.index(False)]
+            raise _invalid(name, getattr(self, name), bound)
+
+
+_PROFILE_BOUNDS = (("tx_size", ">= 0"), ("demand", "> 0"), ("bid", ">= 0"))
+
+
+def _profile_in_bounds(tx_size, demand, bid) -> tuple:
+    """Whether a bidder's tx_size, demand and bid are each within BidderProfile's bounds.
+
+    Takes floats, or arrays of them for a roster read as columns. Each field
+    must be finite and >= 0, > 0 and >= 0 in turn (_PROFILE_BOUNDS words
+    them); both comparisons fail on NaN, and one of them on each infinity.
+    """
+    return (
+        (0.0 <= tx_size) & (tx_size < math.inf),
+        (0.0 < demand) & (demand < math.inf),
+        (0.0 <= bid) & (bid < math.inf),
+    )
 
 
 def _check_allocation(demands: Sequence[float], allocation: Sequence[int]) -> None:

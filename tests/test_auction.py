@@ -14,7 +14,9 @@ from edgeauction import (
     BidderProfile,
     MarketConfig,
     NetworkEffectParams,
+    RosterColumns,
     bidder_utility,
+    clear_roster,
     generate_instance,
     network_effect,
     oracle_exhaustive,
@@ -504,6 +506,32 @@ class TestRunAuction:
         with pytest.raises(ValueError, match="bidder 4"):
             run_auction(roster, _config())
 
+    @pytest.mark.parametrize("demand, worded", [(2, "2"), (2.0, "2.0"), (np.float64(0.5), "0.5")])
+    def test_words_a_non_unit_demand_as_given(self, demand, worded):
+        roster = [BidderProfile(id=4, tx_size=1.0, demand=demand, bid=1.0)]
+        with pytest.raises(ValueError) as info:
+            run_auction(roster, _config())
+        assert str(info.value) == f"bidder 4 demands {worded} units; the auction requires unit demands"
+
+    def test_a_roster_of_columns_clears_as_the_profiles_it_holds(self):
+        roster = generate_instance(40, DEFAULT_BLOCKCHAIN, seed=3)
+        columns = RosterColumns(
+            [p.id for p in roster],
+            *(np.array([getattr(p, f) for p in roster]) for f in ("tx_size", "demand", "bid")),
+        )
+        assert len(columns) == 40
+        assert list(columns) == roster
+        assert run_auction(columns, _config()) == run_auction(roster, _config())
+
+    def test_rejects_the_first_non_unit_demand_in_submission_order(self):
+        with pytest.raises(ValueError) as info:
+            clear_roster([5, 0, 9], [1.0, 2.0, 0.5], [1.0, 1.0, 1.0], _config())
+        assert str(info.value) == "bidder 0 demands 2.0 units; the auction requires unit demands"
+
+    def test_rejects_columns_of_different_lengths(self):
+        with pytest.raises(ValueError, match="same length, got 2, 2 and 3"):
+            clear_roster([0, 1], [1.0, 1.0], [1.0, 2.0, 3.0], _config())
+
     def test_rejects_duplicate_ids(self):
         roster = [
             BidderProfile(id=1, tx_size=1.0, demand=1.0, bid=1.0),
@@ -512,6 +540,7 @@ class TestRunAuction:
         ]
         clears = (
             run_auction,
+            lambda r, config: clear_roster([p.id for p in r], [1.0] * 3, [1.0] * 3, config),
             oracle_exhaustive,
             lambda r, config: vcg_payment(4, r, (4,), config),
         )

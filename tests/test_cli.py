@@ -1,19 +1,22 @@
 """End-to-end tests of the command-line interface, run in process unless a timeout is needed."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from edgeauction import cli
-from edgeauction.auction import AuctionOutcome, run_auction
+from edgeauction.auction import AuctionConfig, AuctionOutcome, run_auction
 from edgeauction.cli import main
 
 GOOD_CONFIG = {
@@ -46,6 +49,82 @@ def bids_path(tmp_path):
     path = tmp_path / "bids.json"
     path.write_text(json.dumps(roster))
     return path
+
+
+# Values a bids file may hold in a numeric field, each one that the reader
+# takes or refuses: the bounds and the floats on either side of them, NaN
+# and the infinities, -0.0, ints past the float range, numeric strings and
+# values that are not numbers at all.
+_ODD_NUMBERS = [
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, -0.5, 2.0, 1.7976931348623157e308,
+    10**400, -(10**400), "1.5", "nan", "-inf", "1e999", True, None, "x", [1], {},
+]
+# The same for an id: strings, floats, bools and integers past 64 bits.
+_ODD_IDS = [
+    "3", "x", "1e3", 2.0, 2.5, -0.0, math.nan, math.inf, True, False, None, 2**64 + 1, -(2**70),
+    10**400, [1],
+]
+_NOT_OBJECTS = ["x", 3, None, True, [1, 2]]
+
+
+def _good_entry(i):
+    return {"id": i, "tx_size": 100.0 * i, "demand": 1.0, "bid": 3.0 - i}
+
+
+@st.composite
+def _bids_entries(draw):
+    """The entries of a bids file: good rows, up to two of them spoiled.
+
+    A spoiled row has one field odd, a non-unit demand or one field missing,
+    or is not an object at all.
+    """
+    entries = draw(st.lists(st.fixed_dictionaries({
+        "id": st.integers(0, 40),  # a small range, so ids repeat
+        "tx_size": st.floats(0.0, 1000.0),
+        "demand": st.just(1.0),
+        "bid": st.floats(0.0, 5.0),
+    }), max_size=8))
+    for _ in range(draw(st.integers(0, 2)) if entries else 0):
+        pos = draw(st.integers(0, len(entries) - 1))
+        kind = draw(st.sampled_from(["odd", "odd", "demand", "missing", "not an object"]))
+        if kind == "not an object":
+            entries[pos] = draw(st.sampled_from(_NOT_OBJECTS))
+        elif not isinstance(entries[pos], dict):
+            continue
+        elif kind == "odd":
+            field = draw(st.sampled_from(sorted(entries[pos])))
+            odd = _ODD_IDS if field == "id" else _ODD_NUMBERS
+            entries[pos][field] = draw(st.one_of(st.sampled_from(odd), st.floats()))
+        elif kind == "demand":
+            entries[pos]["demand"] = draw(st.floats(min_value=0.0, exclude_min=True))
+        else:
+            del entries[pos][draw(st.sampled_from(sorted(entries[pos])))]
+    return entries
+
+
+def _both_readings(entries, tmp):
+    """`auction run` on the entries, and the reference path on the same file.
+
+    The reference is the BidderProfile walk, run_auction and the outcome
+    writer. Each side is its exit code, its stderr and the outcome file
+    (None if none is written).
+    """
+    bids, config, out = (os.path.join(tmp, name) for name in ("bids.json", "config.json", "o.json"))
+    Path(bids).write_text(json.dumps(entries))  # NaN and Infinity as their literals
+    Path(config).write_text(json.dumps(GOOD_CONFIG))
+    try:
+        roster = cli._read_roster(bids, json.loads(Path(bids).read_text()))
+        _, network, market = cli._build_parts(GOOD_CONFIG, max(len(roster), 1))
+        outcome = run_auction(roster, AuctionConfig(market=market, network=network))
+        expected = (0, "", cli._outcome_json(outcome))
+    except (ValueError, RuntimeError) as exc:
+        expected = (1, f"error: {exc}\n", None)
+
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(["auction", "run", "--bids", bids, "--config", config, "--out", out])
+    written = Path(out).read_text() if os.path.exists(out) else None
+    return (code, stderr.getvalue(), written), expected
 
 
 class TestAuctionRun:
@@ -178,6 +257,39 @@ class TestAuctionRun:
         assert code == 1
         assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
         assert not out.exists()
+
+    def test_empty_bids_file_clears_nothing(self, tmp_path, config_path, capsys):
+        path = tmp_path / "bids.json"
+        path.write_text("[]")
+        out = tmp_path / "outcome.json"
+        assert main(["auction", "run", "--bids", str(path),
+                     "--config", str(config_path), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "cleared 0 bids: 0 winners, welfare 0.0\n"
+        assert out.read_text() == (
+            '{\n  "ids": [],\n  "allocation": [],\n  "payments": [],\n'
+            '  "winners": [],\n  "welfare": 0.0\n}\n'
+        )
+
+    @pytest.mark.parametrize("field, value", [
+        *(("id", v) for v in _ODD_IDS),
+        *((f, v) for f in ("tx_size", "demand", "bid") for v in _ODD_NUMBERS),
+        *((None, v) for v in _NOT_OBJECTS),
+    ])
+    def test_column_read_agrees_with_the_profile_walk_on_each_odd_value(self, tmp_path, field, value):
+        # the odd value in the middle of three rows, or the middle row not an object
+        spoiled = value if field is None else dict(_good_entry(1), **{field: value})
+        got, expected = _both_readings([_good_entry(0), spoiled, _good_entry(2)], tmp_path)
+        assert got == expected
+
+    # Hypothesis's explain phase re-runs a failing example many times and has
+    # pytest format each failure, which takes minutes here; the shrunk
+    # counterexample is printed without it.
+    @settings(phases=[p for p in Phase if p is not Phase.explain])
+    @given(_bids_entries())
+    def test_column_read_agrees_with_the_profile_walk(self, entries):
+        with tempfile.TemporaryDirectory() as tmp:
+            got, expected = _both_readings(entries, tmp)
+        assert got == expected
 
     def test_capacity_defaults_to_roster_size(self, tmp_path, bids_path):
         # same config plus an explicit binding capacity must change the outcome

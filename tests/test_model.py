@@ -21,6 +21,7 @@ from edgeauction import (
     orphan_probability,
 )
 from edgeauction.auction import AuctionConfig, welfare_of_set
+from edgeauction.model import _profile_in_bounds
 
 from conftest import DEFAULT_BLOCKCHAIN, DEFAULT_NETWORK, sample_default_instance
 
@@ -133,6 +134,20 @@ class TestValidation:
             BidderProfile(id=0, tx_size=1.0, demand=1.0, bid=math.inf)
         with pytest.raises(ValueError, match="mu must be finite"):
             NetworkEffectParams(mu=math.inf, nu=0.005)
+
+    def test_the_bounds_over_columns_accept_what_each_profile_accepts(self):
+        values = [math.nan, math.inf, -math.inf, -1.0, -0.0, 0.0, 5e-324, 1.0, 1.7976931348623157e308]
+        for field in ("tx_size", "demand", "bid"):
+            for value in values:
+                fields = {"tx_size": 1.0, "demand": 1.0, "bid": 1.0, field: value}
+                try:
+                    BidderProfile(id=0, **fields)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                # the odd value between two good rows
+                columns = [np.array([1.0, fields[f], 1.0]) for f in ("tx_size", "demand", "bid")]
+                assert all(ok.all() for ok in _profile_in_bounds(*columns)) == accepted
 
     def test_hash_power_requires_a_served_miner(self):
         with pytest.raises(ValueError, match="no allocated miners"):

@@ -64,5 +64,10 @@ def test_tracer_records_every_layer_and_puts_the_originals_back(tmp_path, monkey
 
     assert {s.name for s in tracer.spans} == {"generate", "clear", "select", "cli", "run_sweep", "emit"}
     assert not any(s.error for s in tracer.spans)
+    # auction run clears inside the cli span, so the layer split sees its clearing
+    (cli_span,) = [s for s in tracer.spans if s.name == "cli"]
+    (cli_clear,) = [s for s in tracer.spans if s.name == "clear" and s.parent == cli_span.id]
+    assert cli_clear.counts["bidders"] == 20
+    assert cli_clear.counts["winners"] > 0
     for key, original in originals.items():
         assert getattr(*key) is original
