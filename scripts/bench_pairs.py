@@ -30,6 +30,7 @@ the Tier-1 suite in each tree, with pytest's own time.
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import os
 import platform
@@ -147,6 +148,19 @@ def claim(summary: dict, metric: dict) -> dict:
             "met": wins * 10 >= 9 * pairs and difference > iqr}
 
 
+def machine() -> dict:
+    """The BENCH file's machine block: cores, and the versions of what the runs' speed depends on.
+
+    orjson parses `auction run`'s bids file; None where it is not installed.
+    """
+    try:
+        orjson = importlib.metadata.version("orjson")
+    except importlib.metadata.PackageNotFoundError:
+        orjson = None
+    return {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__,
+            "orjson": orjson}
+
+
 def _parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="the commit measured as the parent")
@@ -171,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
         "change": args.note,
         "parent_sha": shas["parent"],
         "change_sha": shas["change"],
-        "machine": {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__},
+        "machine": machine(),
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0, "
                    "run from the root of a git archive of each commit",
         "protocol": f"scripts/bench_pairs.py: one pair per seed, parent and change on the same seed, "

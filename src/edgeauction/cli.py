@@ -21,6 +21,7 @@ from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .auction import AuctionConfig, AuctionOutcome, RosterColumns, run_auction
 from .calibration import fit_alpha, load_samples
@@ -57,14 +58,86 @@ _PARAM_ALIASES = {
 }
 
 
+def _unreadable(path: str, exc: OSError) -> OSError:
+    return OSError(f"cannot read {path}: {exc.strerror or exc}")
+
+
 def _load_json(path: str) -> object:
+    """The JSON value in a file decoded as UTF-8, as json.load reads it: the reference reading."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise OSError(f"cannot read {path}: {exc.strerror or exc}") from None
-    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for a non-UTF-8 file
+        raise _unreadable(path, exc) from None
+    # JSONDecodeError, UnicodeDecodeError for bytes that are not UTF-8, or
+    # RecursionError for nesting deeper than the interpreter's recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
+
+
+# Every byte but those that make a document's nesting: the quote, the
+# backslash and the four brackets.
+_NOT_NESTING = bytes(sorted(set(range(256)) - set(b'"\\[]{}')))
+_NESTING_PASSES = 16
+
+
+def _nests_shallowly(raw: bytes) -> bool:
+    """Whether a JSON document nests at most 2 * _NESTING_PASSES levels, read from its bytes.
+
+    orjson recurses once per level with no limit of its own, and a stack
+    overflow ends the process (about 140,000 levels of arrays on an 8 MB
+    stack); json raises RecursionError instead. Of the document only quotes,
+    backslashes and brackets are kept. Without a backslash each string is
+    two quotes around the brackets it holds, so if dropping adjacent pairs
+    of quotes leaves no quote, no string holds a bracket and the brackets
+    left are the document's nesting. Each pass drops every innermost pair,
+    one or two levels, so a document _NESTING_PASSES levels deep passes and
+    one left with brackets after the passes may be deeper.
+    """
+    marks = raw.translate(None, _NOT_NESTING)
+    if b"\\" in marks:
+        return False
+    nesting = marks.replace(b'""', b"")
+    if b'"' in nesting:
+        return False
+    for _ in range(_NESTING_PASSES):
+        nesting = nesting.replace(b"{}", b"").replace(b"[]", b"")
+    return not nesting
+
+
+def _ids_are_ints(entries: list) -> bool:
+    try:
+        return all(type(e["id"]) is int for e in entries)
+    except (KeyError, TypeError):  # an entry that is not an object, or has no id
+        return False
+
+
+def _load_bids(path: str) -> object:
+    """The JSON value in a bids file: orjson's reading where it is json.load's, else _load_json's.
+
+    orjson parses a roster two to three times as fast as json. Where the two
+    readings could differ, the file is read again with _load_json:
+    - orjson refuses what json reads as extensions or raises on: NaN and
+      Infinity literals, numbers past the float range, lone surrogates,
+      bytes that are not UTF-8, a BOM;
+    - it reads an integer literal past 64 bits as a float, so ids 2**64
+      and 2**64 + 1 would be one id; any id that is not an int is read again;
+    - a document that may nest deeply (_nests_shallowly) is not given to it.
+    """
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise _unreadable(path, exc) from None
+    if _nests_shallowly(raw):
+        try:
+            data = orjson.loads(raw)
+        except orjson.JSONDecodeError:
+            pass
+        else:
+            if not isinstance(data, list) or _ids_are_ints(data):
+                return data
+    return _load_json(path)
 
 
 def _load_config(path: str) -> dict:
@@ -195,7 +268,7 @@ def _outcome_json(outcome: AuctionOutcome) -> str:
 
 def _cmd_auction_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    data = _load_json(args.bids)
+    data = _load_bids(args.bids)
     if not isinstance(data, list):
         raise ValueError(f"{args.bids}: expected a JSON array of bidder objects")
     roster = _read_columns(args.bids, data)

@@ -1,7 +1,12 @@
 """scripts/bench_pairs.py: the summary, bound check and gain rule it writes into a BENCH file."""
 
 import importlib.util
+import os
+import platform
 from pathlib import Path
+
+import numpy as np
+import orjson
 
 _SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
 _METRICS = [
@@ -50,3 +55,8 @@ def test_a_worse_median_is_outside_the_bound_and_a_wide_spread_unresolved():
     wide = bench.summarise({"parent": _runs([50.0, 80.0, 120.0, 150.0]), "change": _runs([101.0] * 4)},
                            _METRICS)
     assert bench.bound_check(wide, _METRICS[0]).startswith("unresolved")
+
+
+def test_the_machine_block_records_the_versions_the_runs_depend_on():
+    assert _load().machine() == {"nproc": os.cpu_count(), "python": platform.python_version(),
+                                 "numpy": np.__version__, "orjson": orjson.__version__}

@@ -102,29 +102,123 @@ def _bids_entries(draw):
     return entries
 
 
-def _both_readings(entries, tmp):
-    """`auction run` on the entries, and the reference path on the same file.
+def _both_readings(document, tmp):
+    """`auction run` on a bids file, and the reference path on the same file.
 
-    The reference is the BidderProfile walk, run_auction and the outcome
-    writer. Each side is its exit code, its stderr and the outcome file
-    (None if none is written).
+    The reference reads the file with json.load, decoded as UTF-8, then
+    takes the BidderProfile walk, run_auction and the outcome writer. Each
+    side is its exit code, its stdout, its stderr and the outcome file (None
+    if none is written). The document is text or bytes.
     """
     bids, config, out = (os.path.join(tmp, name) for name in ("bids.json", "config.json", "o.json"))
-    Path(bids).write_text(json.dumps(entries))  # NaN and Infinity as their literals
+    Path(bids).write_bytes(document if isinstance(document, bytes) else document.encode())
     Path(config).write_text(json.dumps(GOOD_CONFIG))
     try:
-        roster = cli._read_roster(bids, json.loads(Path(bids).read_text()))
+        try:
+            with open(bids, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{bids} is not valid JSON: {exc}") from None
+        if not isinstance(data, list):
+            raise ValueError(f"{bids}: expected a JSON array of bidder objects")
+        roster = cli._read_roster(bids, data)
         _, network, market = cli._build_parts(GOOD_CONFIG, max(len(roster), 1))
         outcome = run_auction(roster, AuctionConfig(market=market, network=network))
-        expected = (0, "", cli._outcome_json(outcome))
+        cleared = f"cleared {len(roster)} bids: {len(outcome.winners)} winners, welfare {outcome.welfare!r}\n"
+        expected = (0, cleared, "", cli._outcome_json(outcome))
     except (ValueError, RuntimeError) as exc:
-        expected = (1, f"error: {exc}\n", None)
+        expected = (1, "", f"error: {exc}\n", None)
 
-    stderr = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(["auction", "run", "--bids", bids, "--config", config, "--out", out])
     written = Path(out).read_text() if os.path.exists(out) else None
-    return (code, stderr.getvalue(), written), expected
+    return (code, stdout.getvalue(), stderr.getvalue(), written), expected
+
+
+# JSON texts for a value in a bids file, each read one way by json and
+# refused or read another way by orjson, or read alike by both: the
+# literals NaN and Infinity, numbers past the float range, integers past
+# 64 bits and past the 4,300 digits Python converts, floats and strings
+# that hold integers, escapes and lone surrogates, and non-numbers.
+_RAW_VALUES = [
+    "0", "1", "-0", "7", "2.5", "3.0", "1e2", "0.1", "-1", "1e-400", "1.7976931348623157e308",
+    "NaN", "-NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" + "0" * 400, "9" * 4301,
+    "18446744073709551615", "18446744073709551616", "18446744073709551617",
+    "-9223372036854775808", "-9223372036854775809", "123456789012345678901234567890",
+    '"3"', '"2.5"', '"NaN"', '"x"', '"\\u0033"', '"\\ud800"', '"x\\udc00"', '"\u00e9"', '"[]"',
+    "true", "null", "[1]", "{}", '{"a": [[]]}',
+]
+# Bytes that are not UTF-8: a lone continuation byte, a cut two-byte
+# sequence, a surrogate encoded as UTF-8, and bytes json's locale could read.
+_NOT_UTF8 = [b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xe9"]
+_UTF8_BOM = b"\xef\xbb\xbf"
+
+
+@st.composite
+def _bids_documents(draw):
+    """A bids file's bytes, written as raw text rather than through json.dumps.
+
+    Entries hold good values or raw texts from _RAW_VALUES, in any of their
+    fields, under repeated keys, with an extra key, or a missing one; an
+    entry may be a raw value instead of an object. The bytes may then start
+    with a BOM or hold a byte that is not UTF-8.
+    """
+    entries = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 9)) == 0:
+            entries.append(draw(st.sampled_from(_RAW_VALUES)))
+            continue
+        values = {
+            "id": str(draw(st.integers(0, 20))),  # a small range, so ids repeat
+            "tx_size": repr(draw(st.floats(0.0, 1000.0))),
+            "demand": draw(st.sampled_from(["1", "1.0", "1e0"])),
+            "bid": repr(draw(st.floats(0.0, 5.0))),
+        }
+        again = []
+        for _ in range(draw(st.integers(0, 2))):
+            key = draw(st.sampled_from([*values, "extra"]))
+            value = draw(st.sampled_from(_RAW_VALUES))
+            if key in values and draw(st.booleans()):
+                values[key] = value
+            else:  # the key once more, or a key the reader ignores
+                again.append((key, value))
+        items = list(values.items())
+        if draw(st.integers(0, 9)) == 0:
+            del items[draw(st.integers(0, len(items) - 1))]
+        for item in again:
+            items.insert(draw(st.integers(0, len(items))), item)
+        entries.append("{" + ", ".join(f'"{k}": {v}' for k, v in items) + "}")
+    document = ("[" + ",\n".join(entries) + "]\n").encode()
+    if draw(st.integers(0, 9)) == 0:
+        document = _UTF8_BOM + document
+    if draw(st.integers(0, 9)) == 0:
+        pos = draw(st.integers(0, len(document)))
+        document = document[:pos] + draw(st.sampled_from(_NOT_UTF8)) + document[pos:]
+    return document
+
+
+def _refuse_json_on(monkeypatch, path):
+    """Make json.load and json.loads raise on the file at path, and read every other as before.
+
+    The error is not one that `auction run` catches, so a run that reads
+    the file with json fails the test.
+    """
+    text = path.read_text()
+    load, loads = json.load, json.loads
+
+    def guarded_load(fh, **kwargs):
+        if os.path.samefile(fh.name, path):
+            raise AssertionError(f"json.load read {path}")
+        return load(fh, **kwargs)
+
+    def guarded_loads(s, **kwargs):
+        if s in (text, text.encode()):
+            raise AssertionError(f"json.loads read {path}")
+        return loads(s, **kwargs)
+
+    monkeypatch.setattr(json, "load", guarded_load)
+    monkeypatch.setattr(json, "loads", guarded_loads)
 
 
 class TestAuctionRun:
@@ -278,7 +372,7 @@ class TestAuctionRun:
     def test_column_read_agrees_with_the_profile_walk_on_each_odd_value(self, tmp_path, field, value):
         # the odd value in the middle of three rows, or the middle row not an object
         spoiled = value if field is None else dict(_good_entry(1), **{field: value})
-        got, expected = _both_readings([_good_entry(0), spoiled, _good_entry(2)], tmp_path)
+        got, expected = _both_readings(json.dumps([_good_entry(0), spoiled, _good_entry(2)]), tmp_path)
         assert got == expected
 
     # Hypothesis's explain phase re-runs a failing example many times and has
@@ -288,8 +382,125 @@ class TestAuctionRun:
     @given(_bids_entries())
     def test_column_read_agrees_with_the_profile_walk(self, entries):
         with tempfile.TemporaryDirectory() as tmp:
-            got, expected = _both_readings(entries, tmp)
+            got, expected = _both_readings(json.dumps(entries), tmp)
         assert got == expected
+
+    @settings(phases=[p for p in Phase if p is not Phase.explain])
+    @given(_bids_documents())
+    def test_auction_run_reads_a_bids_file_as_json_load_does(self, document):
+        with tempfile.TemporaryDirectory() as tmp:
+            got, expected = _both_readings(document, tmp)
+        assert got == expected
+
+    @pytest.mark.parametrize("document", [
+        # what orjson refuses: literals json reads, a lone surrogate, a BOM, a byte not UTF-8
+        '[{"id": 0, "tx_size": 1, "demand": 1, "bid": NaN}]',
+        '[{"id": 0, "tx_size": Infinity, "demand": 1, "bid": 1}]',
+        '[{"id": 0, "tx_size": 1, "demand": 1, "bid": 1e400}]',
+        '[{"id": 0, "tx_size": 1, "demand": 1, "bid": 1, "note": "\\ud800"}]',
+        b'\xef\xbb\xbf[]',
+        b'[{"id": 0, "tx_size": 1, "demand": 1, "bid": 1, "note": "\xe9"}]',
+    ])
+    def test_auction_run_reads_each_document_where_orjson_differs_as_json_load_does(
+        self, tmp_path, document
+    ):
+        got, expected = _both_readings(document, tmp_path)
+        assert got == expected
+
+    def test_ids_past_64_bits_clear_as_two_bidders(self, tmp_path, config_path):
+        bids = tmp_path / "bids.json"
+        bids.write_text(
+            '[{"id": 18446744073709551616, "tx_size": 1, "demand": 1, "bid": 2},'
+            ' {"id": 18446744073709551617, "tx_size": 1, "demand": 1, "bid": 1}]'
+        )
+        out = tmp_path / "o.json"
+        assert main(["auction", "run", "--bids", str(bids),
+                     "--config", str(config_path), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["ids"] == [2**64, 2**64 + 1]
+
+    def test_a_bids_field_nested_past_the_recursion_limit_is_one_error_line(
+        self, tmp_path, config_path, capsys
+    ):
+        bids = tmp_path / "bids.json"
+        bids.write_text(
+            '[{"id": 0, "tx_size": 1, "demand": 1, "bid": 1, "deep": ' + "[" * 2000 + "]" * 2000 + "}]"
+        )
+        code = main(["auction", "run", "--bids", str(bids),
+                     "--config", str(config_path), "--out", str(tmp_path / "o.json")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {bids} is not valid JSON: maximum recursion depth exceeded"
+            " while decoding a JSON array from a unicode string\n"
+        )
+
+    def test_a_bids_file_a_million_levels_deep_is_one_error_line(self, tmp_path, config_path):
+        # orjson would recurse once per level and overflow the C stack, which
+        # ends the process, so the run is a subprocess of its own
+        bids = tmp_path / "bids.json"
+        bids.write_text("[" * 10**6 + "]" * 10**6)
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "edgeauction.cli", "auction", "run", "--bids", str(bids),
+             "--config", str(config_path), "--out", str(tmp_path / "o.json")],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert result.returncode == 1
+        assert result.stderr == (
+            f"error: {bids} is not valid JSON: maximum recursion depth exceeded"
+            " while decoding a JSON array from a unicode string\n"
+        )
+
+    @pytest.mark.parametrize("document, shallow", [
+        (b"[]", True),
+        (b'[{"id": 0, "note": "x"}, {"id": 1}]', True),
+        (b"[" * 16 + b"]" * 16, True),
+        (b"[{" * 16 + b"}]" * 16, True),
+        (b"[" * 17 + b"]" * 17, False),
+        (b"[{" * 17 + b"}]" * 17, False),
+        (b"{" + b'"a":{' * 40 + b"}" * 41, False),
+        (b"[" * 10 + b"]" * 9, False),
+        # a string that holds a bracket, and any escape, are not read
+        (b'["]"]', False),
+        (b'["\\n"]', False),
+        # 40 levels deep, though its brackets with the strings' ones read as 1
+        (b'["]",' * 40 + b"0" + b',"["]' * 40, False),
+    ])
+    def test_nesting_read_from_the_bytes(self, document, shallow):
+        assert cli._nests_shallowly(document) is shallow
+
+    def test_a_good_bids_file_clears_without_json(self, tmp_path, config_path, monkeypatch, capsys):
+        bids = tmp_path / "bids.json"
+        bids.write_text(json.dumps([
+            {"id": i, "tx_size": float(i), "demand": 1.0, "bid": 3.0 * i / 1000} for i in range(1000)
+        ]))
+        _refuse_json_on(monkeypatch, bids)
+        out = tmp_path / "o.json"
+        assert main(["auction", "run", "--bids", str(bids),
+                     "--config", str(config_path), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("cleared 1000 bids: ")
+
+    def test_a_refused_entry_is_worded_without_json(self, tmp_path, config_path, monkeypatch, capsys):
+        # a NaN bid written as a string, which orjson reads and float() turns into NaN
+        bids = tmp_path / "bids.json"
+        bids.write_text('[{"id": 0, "tx_size": 1.0, "demand": 1.0, "bid": "NaN"}]')
+        _refuse_json_on(monkeypatch, bids)
+        assert main(["auction", "run", "--bids", str(bids),
+                     "--config", str(config_path), "--out", str(tmp_path / "o.json")]) == 1
+        assert capsys.readouterr().err == f"error: {bids}: entry 0: bid must be finite\n"
+
+    def test_a_config_nested_past_the_recursion_limit_is_one_error_line_naming_it(
+        self, tmp_path, bids_path, capsys
+    ):
+        config = tmp_path / "config.json"
+        config.write_text("[" * 100_000)
+        code = main(["auction", "run", "--bids", str(bids_path),
+                     "--config", str(config), "--out", str(tmp_path / "o.json")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {config} is not valid JSON: maximum recursion depth exceeded"
+            " while decoding a JSON array from a unicode string\n"
+        )
 
     def test_capacity_defaults_to_roster_size(self, tmp_path, bids_path):
         # same config plus an explicit binding capacity must change the outcome
