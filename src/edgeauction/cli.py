@@ -21,7 +21,6 @@ from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
-import orjson
 
 from .auction import AuctionConfig, AuctionOutcome, RosterColumns, run_auction
 from .calibration import fit_alpha, load_samples
@@ -130,6 +129,8 @@ def _load_bids(path: str) -> object:
     except OSError as exc:
         raise _unreadable(path, exc) from None
     if _nests_shallowly(raw):
+        import orjson  # here, so the sweeps and fits that import this module do not load it
+
         try:
             data = orjson.loads(raw)
         except orjson.JSONDecodeError:
