@@ -463,7 +463,7 @@ class TestAuctionRun:
         # a string that holds a bracket, and any escape, are not read
         (b'["]"]', False),
         (b'["\\n"]', False),
-        # 40 levels deep, though its brackets with the strings' ones read as 1
+        # 40 levels deep, though all its brackets, the strings' ones counted, nest 1 deep
         (b'["]",' * 40 + b"0" + b',"["]' * 40, False),
     ])
     def test_nesting_read_from_the_bytes(self, document, shallow):
