@@ -74,9 +74,9 @@ def _load_json(path: str) -> object:
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
 
 
-# Every byte but those that make a document's nesting: the quote, the
-# backslash and the four brackets.
-_NOT_NESTING = bytes(sorted(set(range(256)) - set(b'"\\[]{}')))
+# Every byte but those that make a document's nesting: the quote and the
+# four brackets.
+_NOT_NESTING = bytes(sorted(set(range(256)) - set(b'"[]{}')))
 _NESTING_PASSES = 16
 
 
@@ -85,18 +85,17 @@ def _nests_shallowly(raw: bytes) -> bool:
 
     orjson recurses once per level with no limit of its own, and a stack
     overflow ends the process (about 140,000 levels of arrays on an 8 MB
-    stack); json raises RecursionError instead. Of the document only quotes,
-    backslashes and brackets are kept. Without a backslash each string is
-    two quotes around the brackets it holds, so if dropping adjacent pairs
-    of quotes leaves no quote, no string holds a bracket and the brackets
-    left are the document's nesting. Each pass drops every innermost pair,
-    one or two levels, so a document _NESTING_PASSES levels deep passes and
-    one left with brackets after the passes may be deeper.
+    stack); json raises RecursionError instead. A document with a backslash
+    is not read. Of the others only quotes and brackets are kept. Each
+    string is then two quotes around the brackets it holds, so if dropping
+    adjacent pairs of quotes leaves no quote, no string holds a bracket and
+    the brackets left are the document's nesting. Each pass drops every
+    innermost pair, one or two levels, so a document _NESTING_PASSES levels
+    deep passes and one left with brackets after the passes may be deeper.
     """
-    marks = raw.translate(None, _NOT_NESTING)
-    if b"\\" in marks:
+    if b"\\" in raw:  # one memchr, before the translate copies the marks out
         return False
-    nesting = marks.replace(b'""', b"")
+    nesting = raw.translate(None, _NOT_NESTING).replace(b'""', b"")
     if b'"' in nesting:
         return False
     for _ in range(_NESTING_PASSES):
@@ -104,41 +103,61 @@ def _nests_shallowly(raw: bytes) -> bool:
     return not nesting
 
 
-def _ids_are_ints(entries: list) -> bool:
+def _has_float_id(entries: list) -> bool:
+    """Whether orjson read an id as a float, or some entry has no id to read.
+
+    orjson reads an integer literal past 64 bits as a float, so ids 2**64
+    and 2**64 + 1 would be one id. Any other id reads as json reads it. An
+    entry that is not an object, or has no id, is refused on either reading.
+    """
     try:
-        return all(type(e["id"]) is int for e in entries)
-    except (KeyError, TypeError):  # an entry that is not an object, or has no id
-        return False
+        return float in set(map(type, map(itemgetter("id"), entries)))
+    except (KeyError, TypeError):
+        return True
 
 
-def _load_bids(path: str) -> object:
-    """The JSON value in a bids file: orjson's reading where it is json.load's, else _load_json's.
+# What _orjson_reading returns for a file whose reading could differ from json.load's.
+_DIFFERS = object()
 
-    orjson parses a roster two to three times as fast as json. Where the two
-    readings could differ, the file is read again with _load_json:
+
+def _orjson_reading(path: str) -> object:
+    """The JSON value in a bids file as orjson reads it, or _DIFFERS.
+
+    _DIFFERS where orjson's reading could differ from json.load's:
+    - a document that may nest deeply, holds a backslash, or a bracket in a
+      string (_nests_shallowly) is not given to orjson;
     - orjson refuses what json reads as extensions or raises on: NaN and
       Infinity literals, numbers past the float range, lone surrogates,
       bytes that are not UTF-8, a BOM;
-    - it reads an integer literal past 64 bits as a float, so ids 2**64
-      and 2**64 + 1 would be one id; any id that is not an int is read again;
-    - a document that may nest deeply (_nests_shallowly) is not given to it.
+    - an id orjson read as a float (_has_float_id).
     """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise _unreadable(path, exc) from None
-    if _nests_shallowly(raw):
-        import orjson  # here, so the sweeps and fits that import this module do not load it
+    if not _nests_shallowly(raw):
+        return _DIFFERS
+    import orjson  # here, so the sweeps and fits that import this module do not load it
 
-        try:
-            data = orjson.loads(raw)
-        except orjson.JSONDecodeError:
-            pass
-        else:
-            if not isinstance(data, list) or _ids_are_ints(data):
-                return data
-    return _load_json(path)
+    try:
+        data = orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        return _DIFFERS
+    if isinstance(data, list) and _has_float_id(data):
+        return _DIFFERS
+    return data
+
+
+def _load_bids(path: str) -> object:
+    """The JSON value in a bids file: orjson's reading where it is json.load's, else _load_json's.
+
+    orjson parses a roster two to three times as fast as json. The file's
+    bytes and orjson's reading are freed when _orjson_reading returns, so
+    a file read again by json.load is never held twice.
+    """
+    data = _orjson_reading(path)
+    return _load_json(path) if data is _DIFFERS else data
 
 
 def _load_config(path: str) -> dict:

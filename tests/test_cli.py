@@ -140,9 +140,17 @@ def _both_readings(document, tmp):
 # refused or read another way by orjson, or read alike by both: the
 # literals NaN and Infinity, numbers past the float range, integers past
 # 64 bits and past the 4,300 digits Python converts, floats and strings
-# that hold integers, escapes and lone surrogates, and non-numbers.
+# that hold integers, escapes and lone surrogates, and non-numbers; and
+# literals a second float parser could round otherwise: long significands,
+# values at or next to a halfway point, subnormals, and integers past 2**53
+# and 2**64 between two floats.
 _RAW_VALUES = [
     "0", "1", "-0", "7", "2.5", "3.0", "1e2", "0.1", "-1", "1e-400", "1.7976931348623157e308",
+    "1.00000000000000011102230246251565404236316680908203125",
+    "1.00000000000000011102230246251565404236316680908203124",
+    "1.00000000000000011102230246251565404236316680908203126",
+    "0.30000000000000004440892098500626", "2.2250738585072011e-308", "2.4703282292062328e-324",
+    "9007199254740993", "18446744073709553664", "18446744073709553665", "100000000000000000000001",
     "NaN", "-NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" + "0" * 400, "9" * 4301,
     "18446744073709551615", "18446744073709551616", "18446744073709551617",
     "-9223372036854775808", "-9223372036854775809", "123456789012345678901234567890",
@@ -473,6 +481,17 @@ class TestAuctionRun:
         bids = tmp_path / "bids.json"
         bids.write_text(json.dumps([
             {"id": i, "tx_size": float(i), "demand": 1.0, "bid": 3.0 * i / 1000} for i in range(1000)
+        ]))
+        _refuse_json_on(monkeypatch, bids)
+        out = tmp_path / "o.json"
+        assert main(["auction", "run", "--bids", str(bids),
+                     "--config", str(config_path), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("cleared 1000 bids: ")
+
+    def test_a_string_id_roster_clears_without_json(self, tmp_path, config_path, monkeypatch, capsys):
+        bids = tmp_path / "bids.json"
+        bids.write_text(json.dumps([
+            {"id": str(i), "tx_size": float(i), "demand": 1.0, "bid": 3.0 * i / 1000} for i in range(1000)
         ]))
         _refuse_json_on(monkeypatch, bids)
         out = tmp_path / "o.json"
