@@ -477,21 +477,11 @@ class TestAuctionRun:
     def test_nesting_read_from_the_bytes(self, document, shallow):
         assert cli._nests_shallowly(document) is shallow
 
-    def test_a_good_bids_file_clears_without_json(self, tmp_path, config_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("id_of", [int, str], ids=["int_ids", "string_ids"])
+    def test_a_good_bids_file_clears_without_json(self, tmp_path, config_path, monkeypatch, capsys, id_of):
         bids = tmp_path / "bids.json"
         bids.write_text(json.dumps([
-            {"id": i, "tx_size": float(i), "demand": 1.0, "bid": 3.0 * i / 1000} for i in range(1000)
-        ]))
-        _refuse_json_on(monkeypatch, bids)
-        out = tmp_path / "o.json"
-        assert main(["auction", "run", "--bids", str(bids),
-                     "--config", str(config_path), "--out", str(out)]) == 0
-        assert capsys.readouterr().out.startswith("cleared 1000 bids: ")
-
-    def test_a_string_id_roster_clears_without_json(self, tmp_path, config_path, monkeypatch, capsys):
-        bids = tmp_path / "bids.json"
-        bids.write_text(json.dumps([
-            {"id": str(i), "tx_size": float(i), "demand": 1.0, "bid": 3.0 * i / 1000} for i in range(1000)
+            {"id": id_of(i), "tx_size": float(i), "demand": 1.0, "bid": 3.0 * i / 1000} for i in range(1000)
         ]))
         _refuse_json_on(monkeypatch, bids)
         out = tmp_path / "o.json"
