@@ -154,9 +154,15 @@ def _curve(limit: int, network: NetworkEffectParams) -> tuple[np.ndarray, np.nda
 # a cost c*k past it makes that prefix's welfare -inf, which no argmax picks.
 @np.errstate(over="ignore")
 def _clear(values: np.ndarray, config: AuctionConfig) -> _Clearing:
-    # Stable sort keeps submission order among equal bids.
-    order = np.argsort(-values, kind="stable")
+    # Highest bid first, equal bids in submission order. Where no two bids
+    # are equal every sort gives that one order, so the default kind (a SIMD
+    # quicksort, several times faster) serves; equal neighbours once sorted,
+    # -0.0 and 0.0 among them, take the stable sort.
+    order = np.argsort(-values)
     sorted_bids = values[order]
+    if (sorted_bids[1:] == sorted_bids[:-1]).any():
+        order = np.argsort(-values, kind="stable")
+        sorted_bids = values[order]
     prefix = np.concatenate(([0.0], np.cumsum(sorted_bids)))
     if not math.isfinite(prefix[-1]):
         raise ValueError("bids overflow: their sum is not finite")
@@ -290,7 +296,8 @@ def clear_bids(bids: np.ndarray, config: AuctionConfig) -> tuple[float, np.ndarr
     admission order; payments are aligned with the bids, losers paying 0.
     Bids must be a one-dimensional vector of values that are finite and
     >= 0, and their sum must not overflow.
-    Selection and pricing share one descending sort plus prefix sums;
+    Selection and pricing share one descending order, equal bids in
+    submission order, plus prefix sums;
     payments match a literal re-run of the selection for every winner, at
     O(n log n + m |K|) in all, where K is the set of columns the dominance
     bound of _counterfactual_welfare leaves to read; each winner's cell at a

@@ -103,33 +103,21 @@ def _nests_shallowly(raw: bytes) -> bool:
     return not nesting
 
 
-def _has_float_id(entries: list) -> bool:
-    """Whether orjson read an id as a float, or some entry has no id to read.
-
-    orjson reads an integer literal past 64 bits as a float, so ids 2**64
-    and 2**64 + 1 would be one id. Any other id reads as json reads it. An
-    entry that is not an object, or has no id, is refused on either reading.
-    """
-    try:
-        return float in set(map(type, map(itemgetter("id"), entries)))
-    except (KeyError, TypeError):
-        return True
-
-
-# What _orjson_reading returns for a file whose reading could differ from json.load's.
-_DIFFERS = object()
+class _ReadingsDiffer(Exception):
+    """orjson's reading of a bids file could differ from json.load's."""
 
 
 def _orjson_reading(path: str) -> object:
-    """The JSON value in a bids file as orjson reads it, or _DIFFERS.
+    """The JSON value in a bids file as orjson reads it.
 
-    _DIFFERS where orjson's reading could differ from json.load's:
+    Raises _ReadingsDiffer where orjson's reading could differ from json.load's:
     - a document that may nest deeply, holds a backslash, or a bracket in a
       string (_nests_shallowly) is not given to orjson;
     - orjson refuses what json reads as extensions or raises on: NaN and
       Infinity literals, numbers past the float range, lone surrogates,
-      bytes that are not UTF-8, a BOM;
-    - an id orjson read as a float (_has_float_id).
+      bytes that are not UTF-8, a BOM.
+    The one difference left, an id read as a float, the column read finds
+    (_orjson_entry_id).
     """
     try:
         with open(path, "rb") as fh:
@@ -137,27 +125,13 @@ def _orjson_reading(path: str) -> object:
     except OSError as exc:
         raise _unreadable(path, exc) from None
     if not _nests_shallowly(raw):
-        return _DIFFERS
+        raise _ReadingsDiffer
     import orjson  # here, so the sweeps and fits that import this module do not load it
 
     try:
-        data = orjson.loads(raw)
+        return orjson.loads(raw)
     except orjson.JSONDecodeError:
-        return _DIFFERS
-    if isinstance(data, list) and _has_float_id(data):
-        return _DIFFERS
-    return data
-
-
-def _load_bids(path: str) -> object:
-    """The JSON value in a bids file: orjson's reading where it is json.load's, else _load_json's.
-
-    orjson parses a roster two to three times as fast as json. The file's
-    bytes and orjson's reading are freed when _orjson_reading returns, so
-    a file read again by json.load is never held twice.
-    """
-    data = _orjson_reading(path)
-    return _load_json(path) if data is _DIFFERS else data
+        raise _ReadingsDiffer from None
 
 
 def _load_config(path: str) -> dict:
@@ -204,6 +178,17 @@ def _entry_id(value: object) -> int:
     return result
 
 
+def _orjson_entry_id(value: object) -> int:
+    """_entry_id for orjson's reading of a bids file, refusing a float with _ReadingsDiffer.
+
+    orjson reads an integer literal past 64 bits as a float, so ids 2**64
+    and 2**64 + 1 would be one id. Any other id reads as json reads it.
+    """
+    if type(value) is float:
+        raise _ReadingsDiffer
+    return _entry_id(value)
+
+
 def _read_roster(path: str, data: list) -> list[BidderProfile]:
     """Bidder profiles from the entries of a bids file; BidderProfile checks each field.
 
@@ -235,19 +220,21 @@ def _read_roster(path: str, data: list) -> list[BidderProfile]:
     return roster
 
 
-def _read_columns(path: str, data: list) -> RosterColumns:
+def _read_columns(path: str, data: object, entry_id=_entry_id) -> RosterColumns:
     """The entries of a bids file as a roster of columns, read a column at a time.
 
     Each column applies what _read_roster applies to one entry: an int id
-    is taken as it is and any other goes through _entry_id, the numbers
+    is taken as it is and any other goes through entry_id, the numbers
     through float(), and BidderProfile's bounds (model._profile_in_bounds)
     are checked over whole columns, tx_size too although clearing does not
     use it. If any entry is refused, _read_roster walks the entries and
     words the first bad one.
     """
+    if not isinstance(data, list):
+        raise ValueError(f"{path}: expected a JSON array of bidder objects")
     n = len(data)
     try:
-        ids = [i if type(i) is int else _entry_id(i) for i in map(itemgetter("id"), data)]
+        ids = [i if type(i) is int else entry_id(i) for i in map(itemgetter("id"), data)]
         tx_sizes, demands, bids = (
             np.fromiter(map(float, map(itemgetter(key), data)), float, n)
             for key in ("tx_size", "demand", "bid")
@@ -262,8 +249,42 @@ def _read_columns(path: str, data: list) -> RosterColumns:
     )
 
 
+def _load_roster(path: str) -> RosterColumns:
+    """The roster of a bids file: from orjson's reading where it is json.load's, else _load_json's.
+
+    orjson parses a roster two to three times as fast as json. If the id
+    walk of the column read refuses an entry before any float id, no id up
+    to that entry is a float, so both readings word the same refusal.
+    orjson's reading is freed when the _ReadingsDiffer handler ends, before
+    json.load reads the file again, so a file is never held twice.
+    """
+    try:
+        return _read_columns(path, _orjson_reading(path), _orjson_entry_id)
+    except _ReadingsDiffer:
+        pass
+    return _read_columns(path, _load_json(path))
+
+
 # Between the items of a list one level inside the outcome object, as indent=2 writes them.
 _ITEM_SEPARATORS = (",\n    ", ": ")
+
+# The outcome's lists of ints. orjson writes an int of 64 bits or fewer as
+# json does, several times as fast, and raises on a longer one; it writes
+# floats otherwise (0.00001 for 1e-05, 1e16 for 1e+16), so payments and
+# welfare stay with json.
+_INT_LISTS = ("ids", "allocation", "winners")
+
+
+def _items_text(name: str, values: tuple) -> str:
+    """The items of a list, laid out as json.dumps writes them with _ITEM_SEPARATORS."""
+    if name in _INT_LISTS:
+        import orjson  # here, as in _orjson_reading
+
+        try:
+            return orjson.dumps(values).decode()[1:-1].replace(",", _ITEM_SEPARATORS[0])
+        except orjson.JSONEncodeError:  # an int past 64 bits
+            pass
+    return json.dumps(values, separators=_ITEM_SEPARATORS)[1:-1]
 
 
 def _outcome_json(outcome: AuctionOutcome) -> str:
@@ -271,7 +292,7 @@ def _outcome_json(outcome: AuctionOutcome) -> str:
 
     json skips its C encoder whenever indent is set. Every field is a flat
     list of numbers or one float, so the object is laid out here and each
-    value goes through the C encoder with the indent in its separators.
+    list's items are written by _items_text, the float by json.dumps.
     """
     lines = []
     for f in fields(outcome):
@@ -279,7 +300,7 @@ def _outcome_json(outcome: AuctionOutcome) -> str:
         if not isinstance(value, tuple):
             text = json.dumps(value)
         elif value:
-            text = "[\n    " + json.dumps(value, separators=_ITEM_SEPARATORS)[1:-1] + "\n  ]"
+            text = "[\n    " + _items_text(f.name, value) + "\n  ]"
         else:
             text = "[]"
         lines.append(f"  {json.dumps(f.name)}: {text}")
@@ -288,11 +309,9 @@ def _outcome_json(outcome: AuctionOutcome) -> str:
 
 def _cmd_auction_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    data = _load_bids(args.bids)
-    if not isinstance(data, list):
-        raise ValueError(f"{args.bids}: expected a JSON array of bidder objects")
-    roster = _read_columns(args.bids, data)
-    del data  # freed before clearing, so the cyclic GC has fewer objects to walk
+    # The bids file's JSON value is freed on return, so the cyclic GC has
+    # fewer objects to walk while clearing.
+    roster = _load_roster(args.bids)
 
     _, network, market = _build_parts(config, max(len(roster), 1))
     outcome = run_auction(roster, AuctionConfig(market=market, network=network))

@@ -240,7 +240,8 @@ def _clear_instance(spec: SweepSpec, grid_value: float, index: int) -> InstanceP
         instance_index=index,
         welfare=welfare,
         winner_count=winners.size,
-        total_payment=float(sum(payments.tolist())),
+        # Losers pay +0.0, so the winners' payments in position order make the same sum.
+        total_payment=float(sum(payments[np.sort(winners)].tolist())),
     )
 
 

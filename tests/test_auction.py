@@ -218,6 +218,17 @@ def _markets(draw):
     return bids, _config(unit_cost=cost, capacity=capacity, network=NetworkEffectParams(mu, nu))
 
 
+@st.composite
+def _tied_bids(draw):
+    """Many ties: bids from a pool of at most four values, signed zeros and a subnormal among them."""
+    candidates = [0.0, -0.0, 5e-324, draw(st.floats(1e-3, 1e3))]
+    pool = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=4))
+    n = draw(st.integers(1, 60))
+    bids = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    cost = draw(st.sampled_from([0.0, 1e-6, 0.02]))
+    return bids, _config(unit_cost=cost, capacity=draw(st.integers(1, n)))
+
+
 class TestFrozenExamples:
     def test_welfare_of_small_sets(self):
         config = _config()
@@ -586,6 +597,25 @@ class TestClearBids:
             clear_bids(bids, _config())
         assert str(exc.value).startswith("internal consistency failure: ")
         assert str(exc.value).endswith(expected)
+
+    @given(_tied_bids())
+    # the one tie is a signed-zero pair, which numpy's default kind reverses
+    @example(([-0.0, 0.0, 3.0, 2.0, 1.0], _config(unit_cost=0.0, capacity=5)))
+    @settings(max_examples=300, deadline=None)
+    def test_tied_bids_clear_in_the_stable_order(self, market):
+        # _clear sorts with an unstable kind first; equal bids, -0.0 and 0.0
+        # too, must still rank in submission order
+        bids, config = market
+        values = np.array(bids)
+        assert _clear(values, config).order.tolist() == np.argsort(-values, kind="stable").tolist()
+        roster = [BidderProfile(id=i, tx_size=0.0, demand=1.0, bid=b) for i, b in enumerate(bids)]
+        payments, welfare, m, _ = _reference_clearing(roster, config)
+        got_welfare, winners, got_payments = clear_bids(values, config)
+        rank = sorted(range(len(bids)), key=lambda i: (-bids[i], i))
+        assert winners.tolist() == rank[:m]
+        # bit for bit: -0.0 and 0.0 differ here
+        assert got_payments.tobytes() == np.array(payments).tobytes()
+        assert np.float64(got_welfare).tobytes() == np.float64(welfare).tobytes()
 
     def test_cached_curve_is_read_only(self):
         # every clearing of the same size and curve shares these arrays

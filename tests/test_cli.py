@@ -12,7 +12,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from edgeauction import cli
@@ -273,7 +273,15 @@ class TestAuctionRun:
         # no winners: every payment 0.0 and an empty winner list
         ([1.0, 1.0, 1.0], None, {"unit_cost": 1e308, "capacity": 3}),
         ([3.0], None, {}),
+        # one winner: a list of one item, no separator in it
+        ([3.0], None, {"unit_cost": 0.0}),
+        ([], None, {}),
         ([3.0, 2.0, 0.5], [-5, 2**63 + 7, 3 * 2**64], {}),
+        # ids at both ends of the 64-bit range orjson writes, and just past them
+        ([3.0, 2.0], [-2**63, 2**64 - 1], {"unit_cost": 0.0}),
+        ([3.0, 2.0], [-2**63 - 1, 0], {"unit_cost": 0.0}),
+        ([3.0, 2.0], [0, 2**64], {"unit_cost": 0.0}),
+        ([3.0, 2.0, 0.5, 1.0], [-2**63 - 1, -2**63, 2**64 - 1, 2**64], {}),
         ([1e300, 2e300, 5e299], None, {}),
         # payments below the normal float range
         ([1e-300, 3e-300, 2e-300], None, {"unit_cost": 0.0}),
@@ -311,6 +319,10 @@ class TestAuctionRun:
         st.lists(st.integers(), max_size=5),
         st.floats(),
     )
+    # the ends of orjson's 64-bit range and the ints just past them
+    @example([-2**63 - 1, -2**63, 2**64 - 1, 2**64], [0, 1, 0, 1], [0.0, 1e-05, 0.0, 1e16],
+             [-2**63, 2**64 - 1], 1e-05)
+    @example([2**64], [1], [0.5], [-2**63 - 1], 0.0)
     def test_outcome_writer_matches_indented_json_on_any_values(
         self, ids, allocation, payments, winners, welfare
     ):
