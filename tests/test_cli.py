@@ -272,9 +272,8 @@ class TestAuctionRun:
     @pytest.mark.parametrize("bids, ids, market", [
         # no winners: every payment 0.0 and an empty winner list
         ([1.0, 1.0, 1.0], None, {"unit_cost": 1e308, "capacity": 3}),
+        # one bidder, who wins: lists of one item, no separator in them
         ([3.0], None, {}),
-        # one winner: a list of one item, no separator in it
-        ([3.0], None, {"unit_cost": 0.0}),
         ([], None, {}),
         ([3.0, 2.0, 0.5], [-5, 2**63 + 7, 3 * 2**64], {}),
         # ids at both ends of the 64-bit range orjson writes, and just past them
