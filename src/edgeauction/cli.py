@@ -19,6 +19,7 @@ import sys
 from dataclasses import fields
 from operator import itemgetter
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -268,11 +269,13 @@ def _load_roster(path: str) -> RosterColumns:
 # Between the items of a list one level inside the outcome object, as indent=2 writes them.
 _ITEM_SEPARATORS = (",\n    ", ": ")
 
-# The outcome's lists of ints. orjson writes an int of 64 bits or fewer as
-# json does, several times as fast, and raises on a longer one; it writes
-# floats otherwise (0.00001 for 1e-05, 1e16 for 1e+16), so payments and
-# welfare stay with json.
-_INT_LISTS = ("ids", "allocation", "winners")
+# The outcome's lists of ints, as its annotations declare them. orjson
+# writes an int of 64 bits or fewer as json does, several times as fast,
+# and raises on a longer one; it writes floats otherwise (0.00001 for
+# 1e-05, 1e16 for 1e+16), so payments and welfare stay with json.
+_INT_LISTS = frozenset(
+    name for name, hint in get_type_hints(AuctionOutcome).items() if hint == tuple[int, ...]
+)
 
 
 def _items_text(name: str, values: tuple) -> str:
