@@ -88,17 +88,19 @@ def _nests_shallowly(raw: bytes) -> bool:
     overflow ends the process (about 140,000 levels of arrays on an 8 MB
     stack); json raises RecursionError instead. A document with a backslash
     is not read. Of the others only quotes and brackets are kept. Each
-    string is then two quotes around the brackets it holds, so if dropping
-    adjacent pairs of quotes leaves no quote, no string holds a bracket and
-    the brackets left are the document's nesting. Each pass drops every
+    string is then two quotes around the brackets it holds, so if every
+    quote is in an adjacent pair (count, like replace, finds its pairs
+    left to right without overlap), no string holds a bracket and the
+    brackets left are the document's nesting. Each pass drops every
     innermost pair, one or two levels, so a document _NESTING_PASSES levels
     deep passes and one left with brackets after the passes may be deeper.
     """
     if b"\\" in raw:  # one memchr, before the translate copies the marks out
         return False
-    nesting = raw.translate(None, _NOT_NESTING).replace(b'""', b"")
-    if b'"' in nesting:
+    marks = raw.translate(None, _NOT_NESTING)
+    if marks.count(b'"') != 2 * marks.count(b'""'):
         return False
+    nesting = marks.translate(None, b'"')
     for _ in range(_NESTING_PASSES):
         nesting = nesting.replace(b"{}", b"").replace(b"[]", b"")
     return not nesting
@@ -230,6 +232,10 @@ def _read_columns(path: str, data: object, entry_id=_entry_id) -> RosterColumns:
     are checked over whole columns, tx_size too although clearing does not
     use it. If any entry is refused, _read_roster walks the entries and
     words the first bad one.
+
+    np.fromiter converts each value as float() does, with two exceptions
+    that both go on to the walk: null reads as NaN, which the bounds
+    refuse, and an array raises ValueError where float() raises TypeError.
     """
     if not isinstance(data, list):
         raise ValueError(f"{path}: expected a JSON array of bidder objects")
@@ -237,7 +243,7 @@ def _read_columns(path: str, data: object, entry_id=_entry_id) -> RosterColumns:
     try:
         ids = [i if type(i) is int else entry_id(i) for i in map(itemgetter("id"), data)]
         tx_sizes, demands, bids = (
-            np.fromiter(map(float, map(itemgetter(key), data)), float, n)
+            np.fromiter(map(itemgetter(key), data), float, n)
             for key in ("tx_size", "demand", "bid")
         )
         if all(ok.all() for ok in _profile_in_bounds(tx_sizes, demands, bids)):
@@ -284,10 +290,31 @@ def _items_text(name: str, values: tuple) -> str:
         import orjson  # here, as in _orjson_reading
 
         try:
-            return orjson.dumps(values).decode()[1:-1].replace(",", _ITEM_SEPARATORS[0])
+            # '{\n  "<name>": [\n    ' + the items + '\n  ]\n}', as json's indent=2
+            text = orjson.dumps({name: values}, option=orjson.OPT_INDENT_2)
         except orjson.JSONEncodeError:  # an int past 64 bits
             pass
+        else:
+            return text[text.index(b"[") + 6 : -6].decode()
+    elif set(map(type, values)) == {float}:
+        return _floats_text(values)
     return json.dumps(values, separators=_ITEM_SEPARATORS)[1:-1]
+
+
+def _floats_text(values: tuple) -> str:
+    """_items_text for a list of floats: "0.0" for each +0.0, json.dumps for the others.
+
+    json's C encoder writes a float with float.__repr__, which is "0.0" for
+    +0.0. -0.0, NaN and the infinities are among the others, which a
+    cleared outcome's payments hold few of: only the winners pay.
+    """
+    floats = np.fromiter(values, float, len(values))
+    others = np.flatnonzero((floats != 0.0) | np.signbit(floats)).tolist()
+    items = ["0.0"] * len(values)
+    texts = json.dumps([values[i] for i in others], separators=_ITEM_SEPARATORS)[1:-1]
+    for i, text in zip(others, texts.split(_ITEM_SEPARATORS[0])):
+        items[i] = text
+    return _ITEM_SEPARATORS[0].join(items)
 
 
 def _outcome_json(outcome: AuctionOutcome) -> str:

@@ -108,7 +108,7 @@ class MarketConfig:
             raise _invalid("hash_exponent", self.hash_exponent, "> 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BidderProfile:
     """One miner's submission: identity, transaction size, demand and bid."""
 

@@ -322,6 +322,14 @@ class TestAuctionRun:
     @example([-2**63 - 1, -2**63, 2**64 - 1, 2**64], [0, 1, 0, 1], [0.0, 1e-05, 0.0, 1e16],
              [-2**63, 2**64 - 1], 1e-05)
     @example([2**64], [1], [0.5], [-2**63 - 1], 0.0)
+    # payments that are not all floats (json writes 0 and false), a -0.0
+    # and the non-finite floats among +0.0s, all +0.0 and none
+    @example([0, 1], [1, 0], [0, 0.5], [0], 0.5)
+    @example([0, 1], [1, 0], [False, 0.0], [0], 0.0)
+    @example([0, 1, 2], [0, 1, 1], [-0.0, 0.0, 0.25], [1, 2], 0.25)
+    @example([0, 1, 2, 3], [1, 1, 1, 0], [math.nan, math.inf, -math.inf, 0.0], [0, 1, 2], math.nan)
+    @example([0, 1, 2], [0, 0, 0], [0.0, 0.0, 0.0], [], 0.0)
+    @example([0, 1, 2], [1, 1, 1], [0.5, 1e-05, 1e16], [0, 1, 2], 1.0)
     def test_outcome_writer_matches_indented_json_on_any_values(
         self, ids, allocation, payments, winners, welfare
     ):
@@ -417,6 +425,9 @@ class TestAuctionRun:
 
     @settings(phases=[p for p in Phase if p is not Phase.explain])
     @given(_bids_documents())
+    # ids past 64 bits, which orjson reads as one float
+    @example(b'[{"id": 18446744073709551616, "tx_size": 1, "demand": 1, "bid": 2},\n'
+             b'{"id": 18446744073709551617, "tx_size": 1, "demand": 1, "bid": 1}]\n')
     def test_auction_run_reads_a_bids_file_as_json_load_does(self, document):
         with tempfile.TemporaryDirectory() as tmp:
             got, expected = _both_readings(document, tmp)
@@ -495,6 +506,13 @@ class TestAuctionRun:
         (b'["\\n"]', False),
         # 40 levels deep, though all its brackets, the strings' ones counted, nest 1 deep
         (b'["]",' * 40 + b"0" + b',"["]' * 40, False),
+        # quotes that pair up only when no string holds a bracket
+        (b'["[", "]"]', False),
+        (b'[""]', True),
+        (b'["a""b"]', True),
+        (b'["a", "b]', False),
+        (b'"""', False),
+        (b'"' * 6, True),
     ])
     def test_nesting_read_from_the_bytes(self, document, shallow):
         assert cli._nests_shallowly(document) is shallow

@@ -1,5 +1,6 @@
 """Unit tests for the closed-form mining quantities."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -104,6 +105,25 @@ class TestValidation:
             BidderProfile(id=0, tx_size=-1.0, demand=1.0, bid=1.0)
         with pytest.raises(ValueError):
             BidderProfile(id=0, tx_size=1.0, demand=1.0, bid=-1.0)
+
+    def test_a_slotted_profile_acts_as_a_frozen_value(self):
+        # slots drop each profile's __dict__; assignment, equality, hashing
+        # and dataclasses.replace act as on the unslotted frozen class
+        profile = BidderProfile(id=3, tx_size=1.0, demand=1.0, bid=2.0)
+        assert not hasattr(profile, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            profile.bid = 3.0
+        # a name that is no field: no slot holds it (CPython 3.11's slotted
+        # frozen __setattr__ raises TypeError there, not FrozenInstanceError)
+        with pytest.raises((AttributeError, TypeError)):
+            profile.note = "x"
+        twin = BidderProfile(id=3, tx_size=1.0, demand=1.0, bid=2.0)
+        assert profile == twin and hash(profile) == hash(twin) and len({profile, twin}) == 1
+        assert profile != BidderProfile(id=4, tx_size=1.0, demand=1.0, bid=2.0)
+        assert dataclasses.replace(profile, bid=5.0) == BidderProfile(id=3, tx_size=1.0, demand=1.0, bid=5.0)
+        assert profile.bid == 2.0
+        with pytest.raises(ValueError, match="bid must be >= 0"):
+            dataclasses.replace(profile, bid=-1.0)
 
     @pytest.mark.parametrize(
         "cls, valid",
