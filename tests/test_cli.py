@@ -506,7 +506,8 @@ class TestAuctionRun:
         (b'["\\n"]', False),
         # 40 levels deep, though all its brackets, the strings' ones counted, nest 1 deep
         (b'["]",' * 40 + b"0" + b',"["]' * 40, False),
-        # quotes that pair up only when no string holds a bracket
+        # the quote-pair count: strings that hold a bracket, empty and adjacent
+        # strings, an odd number of quotes, quotes alone
         (b'["[", "]"]', False),
         (b'[""]', True),
         (b'["a""b"]', True),
