@@ -305,11 +305,18 @@ def _floats_text(values: tuple) -> str:
     """_items_text for a list of floats: "0.0" for each +0.0, json.dumps for the others.
 
     json's C encoder writes a float with float.__repr__, which is "0.0" for
-    +0.0. -0.0, NaN and the infinities are among the others, which a
-    cleared outcome's payments hold few of: only the winners pay.
+    +0.0; -0.0, NaN and the infinities are among the others. This saves
+    time where the zeros are most of the list, as in the payments of a
+    market with few winners. Splitting the others' text back into items
+    costs more than the zeros save once the others pass about a third, so
+    past a quarter json.dumps writes the whole list, as in the payments of
+    a market that admits most bidders.
     """
     floats = np.fromiter(values, float, len(values))
-    others = np.flatnonzero((floats != 0.0) | np.signbit(floats)).tolist()
+    others = np.flatnonzero((floats != 0.0) | np.signbit(floats))
+    if 4 * others.size > len(values):
+        return json.dumps(values, separators=_ITEM_SEPARATORS)[1:-1]
+    others = others.tolist()
     items = ["0.0"] * len(values)
     texts = json.dumps([values[i] for i in others], separators=_ITEM_SEPARATORS)[1:-1]
     for i, text in zip(others, texts.split(_ITEM_SEPARATORS[0])):

@@ -323,13 +323,16 @@ class TestAuctionRun:
              [-2**63, 2**64 - 1], 1e-05)
     @example([2**64], [1], [0.5], [-2**63 - 1], 0.0)
     # payments that are not all floats (json writes 0 and false), a -0.0
-    # and the non-finite floats among +0.0s, all +0.0 and none
-    @example([0, 1], [1, 0], [0, 0.5], [0], 0.5)
+    # and the non-finite floats among +0.0s, all +0.0 and none; each of the
+    # first four is at most a quarter not +0.0, so _floats_text writes the zeros
+    @example([0, 1], [1, 0], [0, 0.0, 0.0, 0.5], [0], 0.5)
     @example([0, 1], [1, 0], [False, 0.0], [0], 0.0)
-    @example([0, 1, 2], [0, 1, 1], [-0.0, 0.0, 0.25], [1, 2], 0.25)
-    @example([0, 1, 2, 3], [1, 1, 1, 0], [math.nan, math.inf, -math.inf, 0.0], [0, 1, 2], math.nan)
+    @example([0, 1, 2], [0, 1, 1], [-0.0, *[0.0] * 6, 0.25], [1, 2], 0.25)
+    @example([0, 1, 2, 3], [1, 1, 1, 0], [math.nan, math.inf, -math.inf, *[0.0] * 9], [0, 1, 2], math.nan)
     @example([0, 1, 2], [0, 0, 0], [0.0, 0.0, 0.0], [], 0.0)
     @example([0, 1, 2], [1, 1, 1], [0.5, 1e-05, 1e16], [0, 1, 2], 1.0)
+    # past a quarter not +0.0, json.dumps writes the whole list
+    @example([0, 1, 2], [0, 1, 0], [0.0, -0.0, 0.0], [1], 0.0)
     def test_outcome_writer_matches_indented_json_on_any_values(
         self, ids, allocation, payments, winners, welfare
     ):
