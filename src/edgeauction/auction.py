@@ -129,14 +129,14 @@ def welfare_of_set(bids_in_w: Iterable[float], config: AuctionConfig) -> float:
 
 @dataclass(frozen=True)
 class _Clearing:
-    """Clearing of one bid vector, shared by selection and pricing."""
+    """Clearing of rows of bids of one length, shared by selection and pricing."""
 
-    order: np.ndarray         # positions into the bid vector, highest bid first
-    sorted_bids: np.ndarray   # the bids in that order
-    prefix: np.ndarray        # prefix[k]: sum of the k highest bids; prefix[0] = 0
+    order: np.ndarray         # (R, n): positions into each row, highest bid first
+    sorted_bids: np.ndarray   # (R, n): each row's bids in that order
+    prefix: np.ndarray        # (R, n + 1): prefix[r, k] sums row r's k highest bids
     coef: np.ndarray          # w(k) / k for k = 1..min(n, capacity)
-    welfare_by_k: np.ndarray  # welfare of the top-k prefix for the same k
-    m: int                    # winner count: the first k of largest welfare
+    welfare_by_k: np.ndarray  # (R, len(coef)): welfare of each row's top-k prefix
+    m: np.ndarray             # (R,): winner counts, each the first k of largest welfare
 
 
 # A sweep clears at most ten roster sizes under one curve, so all of them stay cached.
@@ -150,27 +150,44 @@ def _curve(limit: int, network: NetworkEffectParams) -> tuple[np.ndarray, np.nda
     return kk, coef
 
 
+def _along_rows(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """values[r, index[r, j]] for every row r, as one gather from the flat array."""
+    if len(values) == 1:
+        return values[0][index[0]][None]
+    starts = np.arange(0, values.size, values.shape[1])[:, None]
+    return values.ravel()[index + starts]
+
+
 # Overflow is silent here: a prefix sum past the float range is refused, and
 # a cost c*k past it makes that prefix's welfare -inf, which no argmax picks.
 @np.errstate(over="ignore")
 def _clear(values: np.ndarray, config: AuctionConfig) -> _Clearing:
     # Highest bid first, equal bids in submission order. Where no two bids
-    # are equal every sort gives that one order, so the default kind (a SIMD
-    # quicksort, several times faster) serves; equal neighbours once sorted,
-    # -0.0 and 0.0 among them, take the stable sort.
-    order = np.argsort(-values)
-    sorted_bids = values[order]
-    if (sorted_bids[1:] == sorted_bids[:-1]).any():
-        order = np.argsort(-values, kind="stable")
-        sorted_bids = values[order]
-    prefix = np.concatenate(([0.0], np.cumsum(sorted_bids)))
-    if not math.isfinite(prefix[-1]):
+    # of a row are equal every sort gives that one order, so the default
+    # kind (a SIMD quicksort, several times faster) serves; rows with equal
+    # neighbours once sorted, -0.0 and 0.0 among them, take the stable sort.
+    order = np.argsort(-values, axis=1)
+    sorted_bids = _along_rows(values, order)
+    tied = (sorted_bids[:, 1:] == sorted_bids[:, :-1]).any(axis=1)
+    if tied.any():
+        order[tied] = np.argsort(-values[tied], axis=1, kind="stable")
+        sorted_bids = _along_rows(values, order)
+    rows, n = values.shape
+    prefix = np.empty((rows, n + 1))
+    prefix[:, 0] = 0.0
+    np.cumsum(sorted_bids, axis=1, out=prefix[:, 1:])
+    if not np.isfinite(prefix[:, -1]).all():
         raise ValueError("bids overflow: their sum is not finite")
-    limit = min(values.size, config.market.capacity)
+    limit = min(n, config.market.capacity)
     kk, coef = _curve(limit, config.network)
-    welfare_by_k = coef * prefix[1 : limit + 1] - config.market.unit_cost * kk
+    # In place: a temporary of another shape than coef's is not reused.
+    welfare_by_k = prefix[:, 1 : limit + 1] * coef
+    welfare_by_k -= config.market.unit_cost * kk
     # Ties go to the smaller k; k = 0 is the empty set, of welfare 0.
-    m = int(np.argmax(np.concatenate(([0.0], welfare_by_k))))
+    m = np.zeros(rows, dtype=int)
+    if limit:
+        best = welfare_by_k.argmax(axis=1)
+        m = np.where(welfare_by_k[np.arange(rows), best] > 0.0, best + 1, 0)
     return _Clearing(order, sorted_bids, prefix, coef, welfare_by_k, m)
 
 
@@ -182,53 +199,149 @@ def select_winners_greedy(bids: Sequence[float], config: AuctionConfig) -> Winne
     unless welfare is positive. Returns positions into the bid vector, in
     rank order.
     """
-    cleared = _clear(_validate_bids(bids), config)
-    return tuple(cleared.order[: cleared.m].tolist())
+    cleared = _clear(_validate_bids(bids)[None], config)
+    return tuple(cleared.order[0, : cleared.m[0]].tolist())
 
 
-@np.errstate(over="ignore")  # as in _clear; an infinite scale keeps every column
-def _counterfactual_welfare(cleared: _Clearing, config: AuctionConfig) -> np.ndarray:
-    """Welfare selection reaches with each winner removed, by rank; needs a winner.
+# A column that another leads by this many margins at both ends of a row's
+# bulk bids is below it at every bulk row; see _counterfactual_welfare.
+_LEAD = 4
 
-    Each row's value is its largest cell, or 0 if none is positive, and
-    every cell is the expression a literal re-run without the winner
-    evaluates, so each value is bit-identical to that re-run. Row t's cells
-    C_t(k) obey C_0(k) <= C_t(k) <= S(k), with S the top-k prefix welfare:
-    row 0 drops the highest bid, and dropping one bid from the top k + 1
-    leaves at most the top k. So a positive row maximum sits at a column
-    whose S(k) reaches R_0, row 0's maximum floored at 0, and only those
-    columns K are read. The cell at column k is w(k)/k times prefix[k] for
-    k <= t, where the top k bids are kept, or prefix[k + 1] - b_t for k > t,
-    less c k; for k <= t that is S(k) to the bit. O(n + m |K|) in all. K is
-    cut into blocks that hold all m rows of each of their columns, under a
-    fixed cell budget, so memory does not grow with the roster.
+
+def _cells(lines: np.ndarray, bids: np.ndarray) -> np.ndarray:
+    """(P, W, T): each of a row's W lines (at - b) * slope - charge at each of its T bids b."""
+    at, slope, charge = (x[:, :, None] for x in lines)
+    block = at - bids[:, None, :]
+    block *= slope
+    block -= charge
+    return block
+
+
+def _cell_max(bids: np.ndarray, lines: np.ndarray, held=None) -> np.ndarray:
+    """Each row's largest cell at each of its bids, over its lines; (P, T) for bids (P, T).
+
+    lines is (3, P, W): at, slope and charge of each column. held = (cols,
+    ranks, values), with each row's cols and ranks ascending, puts
+    values[p, j] in the cell's place wherever cols[p, j] <= ranks[p, i].
+    Lines and bids are cut into blocks of at most _CELL_BUDGET cells.
     """
-    m = cleared.m
-    limit2 = min(cleared.sorted_bids.size - 1, config.market.capacity)
-    cost = config.market.unit_cost
-    coef, prefix, welfare_by_k = cleared.coef, cleared.prefix, cleared.welfare_by_k
-    bids = cleared.sorted_bids[:m]
+    rows, width = lines.shape[1:]
+    count = bids.shape[1]
+    depth = max(1, min(width, _CELL_BUDGET // (rows * count)))
+    span = max(1, min(count, _CELL_BUDGET // (rows * depth)))
+    # The columns from the first past every rank of its row on hold lines alone.
+    held_width = 0 if held is None else int((held[0] <= held[1][:, -1:]).sum(axis=1).max())
+    best = np.full(bids.shape, -np.inf)
+    for j in range(0, width, depth):
+        columns = slice(j, j + depth)
+        for i in range(0, count, span):
+            part = slice(i, i + span)
+            block = _cells(lines[:, :, columns], bids[:, part])
+            if j < held_width:
+                cols, ranks, values = held
+                where = cols[:, columns, None] <= ranks[:, None, part]
+                np.copyto(block, values[:, columns, None], where=where)
+            np.maximum(best[:, part], block.max(axis=1), out=best[:, part])
+    return best
+
+
+# As in _clear; an infinite scale keeps every column, and its -inf cells may meet.
+@np.errstate(over="ignore", invalid="ignore")
+def _counterfactual_welfare(cleared: _Clearing, config: AuctionConfig) -> np.ndarray:
+    """Welfare selection reaches with each winner removed: (R, max m), by rank.
+
+    Entries past a row's winner count are unspecified. Each winner's value
+    is its largest cell, or 0 if none is positive, and every cell is the
+    expression a literal re-run without the winner evaluates, so each value
+    is bit-identical to that re-run. Row t's cells C_t(k) obey
+    C_0(k) <= C_t(k) <= S(k), with S the top-k prefix welfare: row 0 drops
+    the highest bid, and dropping one bid from the top k + 1 leaves at most
+    the top k. So a positive row maximum sits at a column whose S(k)
+    reaches R_0, row 0's maximum floored at 0, less a margin; only those
+    columns K are read, widened to the window from the least to the
+    largest of them, since every column up to min(n - 1, capacity) is a
+    cell of the re-run. The cell at column k is w(k)/k times prefix[k] for
+    k <= t, where the top k bids are kept, or prefix[k + 1] - b_t for
+    k > t, less c k; for k <= t that is S(k) to the bit.
+
+    The winners ranked above the window's first column are its bulk rows,
+    about 95 % of the winners of a sweep: each of their cells is the line
+    L_k(b) = w(k)/k (prefix[k + 1] - b) - c k at the row's own bid. A
+    computed cell lies within a few ulps of the scale of the cells (the
+    largest w(k)/k prefix[k + 1] + c k) of its exact line, far inside one
+    margin: 64 ulps of that scale plus 4 subnormals. Where a column d
+    leads a column k by 4 margins in the computed cells at both ends of
+    the bulk bids, b_0 and b_{top-1}, the exact gap is at least 3.9
+    margins at both ends, so, being linear in b, over that whole interval;
+    k's computed cell is then strictly below d's at every bulk row, and
+    dropping k leaves each bulk maximum as it was. Each column is compared
+    only with the two that lead at either end, O(|K|) per row, and with
+    none where the scale is not finite. So the bulk rows read the one or
+    two columns that can lead, and the other winners every column of the
+    window. The cells are cut into blocks under a fixed budget, so memory
+    does not grow with m |K|.
+    """
+    rows, n = cleared.sorted_bids.shape
+    limit2 = min(n - 1, config.market.capacity)
+    if limit2 < 1 or not cleared.m.any():
+        return np.zeros((rows, int(cleared.m.max(initial=0))))  # no column: every value is 0
+    m, bids, prefix = cleared.m, cleared.sorted_bids, cleared.prefix
+    welfare_by_k = cleared.welfare_by_k
+    cost, coef = config.market.unit_cost, cleared.coef
+    index = np.arange(rows)[:, None]
 
     # Row 0 has no column k <= 0: every one of its cells drops the highest bid.
-    every = np.arange(1, limit2 + 1)
-    row0 = coef[:limit2] * (prefix[2 : limit2 + 2] - bids[0]) - cost * every
-    floor = row0.max(initial=0.0)
-    scale = (coef[:limit2] * prefix[2 : limit2 + 2] + cost * every).max(initial=0.0)
-    ks = every[welfare_by_k[:limit2] >= floor - (_BOUND_MARGIN * scale + _SUBNORMAL_MARGIN)]
+    pre = prefix[:, 2 : limit2 + 2]
+    charge = cost * np.arange(1, limit2 + 1)
+    row0 = pre - bids[:, :1]
+    row0 *= coef[:limit2]
+    row0 -= charge
+    floor = row0.max(axis=1, initial=0.0)
+    scale = pre * coef[:limit2]
+    scale += charge
+    scale = scale.max(axis=1, initial=0.0)
+    margin = _BOUND_MARGIN * scale + _SUBNORMAL_MARGIN
+    kept = welfare_by_k[:, :limit2] >= (floor - margin)[:, None]
+    lo = kept.argmax(axis=1) + 1
+    found = kept[index[:, 0], lo - 1]
+    # A row with no kept column has no positive cell: it reads column 1 as
+    # bulk rows alone, and its values are set to 0.
+    hi = np.where(found, limit2 - kept[:, ::-1].argmax(axis=1), 1)
+    cols = np.minimum(lo[:, None] + np.arange(int((hi - lo).max()) + 1), hi[:, None])
+    lines = np.stack((prefix[index, cols + 1], coef[cols - 1], cost * cols))
+    # The bulk rows: ranks below every column of the window.
+    top = np.where(found, np.minimum(m, lo), m)
 
-    best = np.full(m, -np.inf)
-    ranks = np.arange(m)
-    depth = max(1, _CELL_BUDGET // m)
-    for j in range(0, ks.size, depth):
-        cols = ks[j : j + depth, None]
-        block = prefix[cols + 1] - bids
-        # rows before the block's first kept column have no cell with k <= t
-        start = int(cols[0, 0])
-        np.copyto(block[:, start:], prefix[cols], where=cols <= ranks[start:])
-        block *= coef[cols - 1]
-        block -= cost * cols
-        np.maximum(best, block.max(axis=0), out=best)
-    return np.where(best > 0.0, best, 0.0)
+    # The cells at both ends of the bulk bids; a column is beaten where the
+    # column that leads at either end leads it by _LEAD margins at both.
+    at, slope, charge = lines
+    ends = [(at - b) * slope - charge for b in (bids[:, :1], bids[index, top[:, None] - 1])]
+    lead = _LEAD * margin[:, None]
+    beaten = np.zeros(cols.shape, dtype=bool)
+    for d in (end.argmax(axis=1)[:, None] for end in ends):
+        beaten |= (ends[0][index, d] - ends[0] >= lead) & (ends[1][index, d] - ends[1] >= lead)
+    beaten &= np.isfinite(scale)[:, None]
+    # The columns that can lead come first; a row with fewer repeats beaten
+    # columns, which are cells of the re-run as well.
+    survivors = cols.shape[1] - int(beaten.sum(axis=1).min())
+    reads = np.argsort(beaten, axis=1, kind="stable")[:, :survivors]
+    out = np.zeros((rows, int(m.max())))
+    if reads.shape[1] < cols.shape[1]:
+        bulk = _cell_max(bids[:, : int(top.max())], lines[:, index, reads])
+        out[:, : bulk.shape[1]] = bulk
+    else:
+        top[:] = 0  # no column to drop: every winner reads the window, in one pass
+
+    depth = int((m - top).max())
+    if depth:
+        ranks = top[:, None] + np.arange(depth)
+        inside = ranks < m[:, None]
+        ranks = np.minimum(ranks, m[:, None] - 1)
+        held = (cols, ranks, welfare_by_k[index, cols - 1])
+        rest = _cell_max(bids[index, ranks], lines, held)
+        out[np.nonzero(inside)[0], ranks[inside]] = rest[inside]
+    out[~found] = 0.0
+    return np.where(out > 0.0, out, 0.0)
 
 
 def _roster_ids(ids: Iterable[int]) -> tuple[int, ...]:
@@ -275,61 +388,110 @@ def _clamp_payment(p, magnitude=1.0):
     """
     p = np.asarray(p, dtype=float)
     if np.any(p < -_tolerance(magnitude)):
-        raise RuntimeError(
-            f"internal consistency failure: payment {float(p.min())} is negative beyond tolerance"
-        )
+        raise RuntimeError(f"internal consistency failure: {_refusal(p)}")
     return np.where(p < 0.0, 0.0, p)
 
 
+def _refusal(p: np.ndarray) -> str:
+    return f"payment {float(p.min())} is negative beyond tolerance"
+
+
 def _instance(values: np.ndarray, m: int, config: AuctionConfig) -> str:
-    """The instance a consistency failure of clear_bids names, built only to raise."""
+    """The instance a consistency failure of one row names, built only to raise."""
     return (
         f"(n={values.size}, m={m}, capacity={config.market.capacity}, "
         f"bids from {float(values.min())!r} to {float(values.max())!r})"
     )
 
 
+class _RowFailure(RuntimeError):
+    """A consistency failure of one row of a batch; row is its index."""
+
+    def __init__(self, message: str, row: int) -> None:
+        super().__init__(message)
+        self.row = row
+
+
+# A magnitude past the float range reads as inf, and refuses nothing.
+@np.errstate(over="ignore")
+def _clear_rows(
+    values: np.ndarray, config: AuctionConfig
+) -> tuple[np.ndarray, _Clearing, np.ndarray]:
+    """Clear validated rows of bids of one length: welfare, clearing and payments by rank.
+
+    Row r's winners are cleared.order[r, :cleared.m[r]], in admission
+    order, and paid[r, t] is the payment of its winner of rank t, 0 past
+    its winner count. Every step runs once for all rows, save the welfare
+    check's sum of each row's winner bids and the scalar curve w(m - 1)
+    that prices each row's other winners. Raises _RowFailure for the first
+    row that fails the welfare check or refuses a payment, the welfare
+    check first within a row.
+    """
+    cleared = _clear(values, config)
+    m = cleared.m
+    rows, most = m.size, int(m.max(initial=0))
+    if not most:
+        return np.zeros(rows), cleared, np.zeros((rows, 0))
+    index = np.arange(rows)
+    welfare = np.where(m > 0, cleared.welfare_by_k[index, m - 1], 0.0)
+    cost = config.market.unit_cost
+    tolerance = _tolerance(cleared.coef[m - 1] * cleared.prefix[index, m] + cost * m)
+
+    failure = None
+    shares = np.zeros(rows)  # w(m - 1) / (m - 1) of each row, its other winners' share
+    checked = zip(m.tolist(), welfare.tolist(), tolerance.tolist())
+    for r, (k, selected, allowed) in enumerate(checked):
+        if not k:
+            continue
+        check = _welfare(k, sum(cleared.sorted_bids[r, :k].tolist()), config)
+        if failure is None and abs(check - selected) > allowed:
+            failure = r, f"welfare mismatch: {selected!r} against {check!r}"
+        if k > 1:
+            shares[r] = (1.0 / (k - 1)) * network_effect(float(k - 1), config.network)
+
+    # Each winner's counterfactual, less the welfare of its others as a set
+    # of their own; the ranks past a row's winners are masked out.
+    s_prime = _counterfactual_welfare(cleared, config)
+    total = cleared.prefix[index, m][:, None] - cleared.sorted_bids[:, :most]
+    others = shares[:, None] * total - (cost * (m - 1))[:, None]
+    payments = s_prime - others
+    magnitude = np.abs(s_prime) + np.abs(others)
+    inside = np.arange(most) < m[:, None]
+    refused = np.flatnonzero((inside & (payments < -_tolerance(magnitude))).any(axis=1))
+    if refused.size and (failure is None or refused[0] < failure[0]):
+        r = int(refused[0])
+        failure = r, _refusal(payments[r, : m[r]])
+    if failure is not None:
+        r = failure[0]
+        raise _RowFailure(
+            f"internal consistency failure: {failure[1]} {_instance(values[r], int(m[r]), config)}",
+            r,
+        )
+    # Payments within rounding residue below zero clamp to 0, as _clamp_payment does.
+    return welfare, cleared, np.where(inside & (payments >= 0.0), payments, 0.0)
+
+
 def clear_bids(bids: np.ndarray, config: AuctionConfig) -> tuple[float, np.ndarray, np.ndarray]:
     """Clear one bid vector: welfare, winner positions and every payment.
 
-    The array core under clear_roster. Winner positions index the bids in
-    admission order; payments are aligned with the bids, losers paying 0.
-    Bids must be a one-dimensional vector of values that are finite and
-    >= 0, and their sum must not overflow.
+    The array core under clear_roster: the batch kernel on one row. Winner
+    positions index the bids in admission order; payments are aligned with
+    the bids, losers paying 0. Bids must be a one-dimensional vector of
+    values that are finite and >= 0, and their sum must not overflow.
     Selection and pricing share one descending order, equal bids in
-    submission order, plus prefix sums;
-    payments match a literal re-run of the selection for every winner, at
-    O(n log n + m |K|) in all, where K is the set of columns the dominance
-    bound of _counterfactual_welfare leaves to read; each winner's cell at a
-    kept column is the expression its literal re-run evaluates there.
+    submission order, plus prefix sums; payments match a literal re-run of
+    the selection for every winner, at O(n log n + m |K|) at most, where K
+    is the set of columns the dominance bound of _counterfactual_welfare
+    leaves to read; each winner's cell at a column it reads is the
+    expression its literal re-run evaluates there.
     """
     values = _validate_bids(bids)
-    cleared = _clear(values, config)
-    m = cleared.m
-    winner_positions = cleared.order[:m]
-    if m == 0:
-        return 0.0, winner_positions, np.zeros(values.size)
-    cost = config.market.unit_cost
-    welfare = float(cleared.welfare_by_k[m - 1])
-    winner_bids = cleared.sorted_bids[:m]
-
-    check = _welfare(m, sum(winner_bids.tolist()), config)
-    magnitude = float(cleared.coef[m - 1] * cleared.prefix[m]) + cost * m
-    if abs(check - welfare) > _tolerance(magnitude):
-        raise RuntimeError(
-            f"internal consistency failure: welfare mismatch: {welfare!r} against {check!r} "
-            f"{_instance(values, m, config)}"
-        )
-
-    s_prime = _counterfactual_welfare(cleared, config)
-    # Welfare of the other winners as a set of their own.
-    others = _welfare(m - 1, float(cleared.prefix[m]) - winner_bids, config)
+    welfare, cleared, paid = _clear_rows(values[None], config)
+    m = int(cleared.m[0])
+    winner_positions = cleared.order[0, :m]
     payments = np.zeros(values.size)
-    try:
-        payments[winner_positions] = _clamp_payment(s_prime - others, np.abs(s_prime) + np.abs(others))
-    except RuntimeError as exc:
-        raise RuntimeError(f"{exc} {_instance(values, m, config)}") from None
-    return welfare, winner_positions, payments
+    payments[winner_positions] = paid[0, :m]
+    return float(welfare[0]), winner_positions, payments
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,13 +14,21 @@ import hashlib
 import json
 import struct
 from dataclasses import asdict, dataclass, fields, replace
+from itertools import groupby
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-# Sweeps call clear_bids; perfbench/spans.py wraps run_auction under this module's name.
-from .auction import AuctionConfig, clear_bids, run_auction  # noqa: F401
+# Sweeps clear through _clear_rows; perfbench/spans.py wraps run_auction under this module's name.
+from .auction import (  # noqa: F401
+    _CELL_BUDGET,
+    AuctionConfig,
+    _clear_rows,
+    _RowFailure,
+    _validate_bids,
+    run_auction,
+)
 from .model import (
     BidderProfile,
     BlockchainParams,
@@ -158,9 +166,12 @@ def _truthful_bids(
     """Sizes uniform on [0, 1000] and their truthful unit bids, for one instance."""
     if num_users < 1:
         raise ValueError("num_users must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
-    sizes = rng.uniform(0.0, 1000.0, size=num_users)
+    sizes = _sizes(num_users, seed)
     return sizes, ex_ante_valuation(sizes, blockchain)
+
+
+def _sizes(num_users: int, seed: int) -> np.ndarray:
+    return np.random.Generator(np.random.PCG64(int(seed))).uniform(0.0, 1000.0, size=num_users)
 
 
 def generate_instance(
@@ -224,38 +235,57 @@ def default_sweep_spec(
     )
 
 
-def _clear_instance(spec: SweepSpec, grid_value: float, index: int) -> InstancePoint:
-    # Ids range(n) and unit demands need no roster: the bids go to the array core.
-    seed = stable_instance_seed(spec.base_seed, grid_value, index)
-    _, bids = _truthful_bids(*spec.market_at(grid_value), seed)
+def _clear_points(spec: SweepSpec, pairs: Sequence[tuple[float, int]]) -> list[InstancePoint]:
+    """Clear (grid value, instance index) pairs of one roster size as one batch of rows.
+
+    Each row holds the bids _truthful_bids draws for the pair's seed; ids
+    range(n) and unit demands need no roster. The closed form runs once per
+    grid value, over that value's rows, which the pairs keep together.
+    """
+    seeds = [stable_instance_seed(spec.base_seed, g, i) for g, i in pairs]
+    blocks = []
+    for g, rows in groupby(range(len(pairs)), key=lambda row: pairs[row][0]):
+        n, blockchain = spec.market_at(g)
+        sizes = np.array([_sizes(n, seeds[row]) for row in rows])
+        blocks.append(ex_ante_valuation(sizes, blockchain))
+    bids = np.concatenate(blocks)
+    _validate_bids(bids.ravel())
     try:
-        welfare, winners, payments = clear_bids(bids, AuctionConfig(spec.market, spec.network))
-    except RuntimeError as exc:
+        welfare, cleared, paid = _clear_rows(bids, AuctionConfig(spec.market, spec.network))
+    except _RowFailure as exc:
+        g, index = pairs[exc.row]
         raise RuntimeError(
-            f"{exc} in the {spec.swept_parameter} sweep at {grid_value!r}, "
-            f"instance {index}, seed {seed}"
+            f"{exc} in the {spec.swept_parameter} sweep at {g!r}, "
+            f"instance {index}, seed {seeds[exc.row]}"
         ) from exc
-    return InstancePoint(
-        grid_value=grid_value,
-        instance_index=index,
-        welfare=welfare,
-        winner_count=winners.size,
-        # Losers pay +0.0, so the winners' payments in position order make the same sum.
-        total_payment=float(sum(payments[np.sort(winners)].tolist())),
-    )
+    # Each row's payments in position order: past its winners, the ranks hold
+    # losers paying +0.0, which leave the winners' sum as it is.
+    ranked = cleared.order[:, : paid.shape[1]]
+    in_position = np.take_along_axis(paid, np.argsort(ranked, axis=1), axis=1)
+    return [
+        InstancePoint(g, index, w, k, float(sum(row)))
+        for (g, index), w, k, row in zip(
+            pairs, welfare.tolist(), cleared.m.tolist(), in_position.tolist()
+        )
+    ]
 
 
 def run_sweep(spec: SweepSpec) -> tuple[list[InstancePoint], list[GridMean]]:
     """Clear every (grid value, instance) pair and aggregate per-point means.
 
-    Results are ordered by grid position then instance index.
+    Results are ordered by grid position then instance index. Pairs of one
+    roster size clear as batches of rows, each of at most the kernel's cell
+    budget of bids (or one row): the whole sweep, or one user count at a time.
     """
-    points = [
-        _clear_instance(spec, g, i) for g in spec.grid for i in range(spec.instances_per_point)
-    ]
+    n = spec.instances_per_point
+    points: list[InstancePoint] = []
+    for num_users, grid in groupby(spec.grid, key=lambda g: spec.market_at(g)[0]):
+        pairs = [(g, i) for g in grid for i in range(n)]
+        step = max(1, _CELL_BUDGET // num_users)
+        for start in range(0, len(pairs), step):
+            points += _clear_points(spec, pairs[start : start + step])
 
     means: list[GridMean] = []
-    n = spec.instances_per_point
     for gi, g in enumerate(spec.grid):
         chunk = points[gi * n : (gi + 1) * n]
         means.append(

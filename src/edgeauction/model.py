@@ -175,15 +175,16 @@ def hash_power(
 def _not_orphaned(tx_size: float | np.ndarray, params: BlockchainParams) -> float | np.ndarray:
     """exp(-xi s / lam), the chance a block of size s is not orphaned.
 
-    On an array, math.exp maps over the elements straight into the result
-    through np.fromiter, so each equals its scalar call bit for bit (np.exp
-    differs in the last bit on 4.6 % of arguments).
+    On an array, of any shape, math.exp maps over the elements straight
+    into the result through np.fromiter, so each equals its scalar call bit
+    for bit (np.exp differs in the last bit on 4.6 % of arguments).
     """
     if np.any(np.less(tx_size, 0)):
         raise ValueError("tx_size must be >= 0")
     exponent = -(params.propagation_coeff * tx_size) / params.mean_block_interval
     if isinstance(exponent, np.ndarray):
-        return np.fromiter(map(math.exp, exponent.tolist()), float, exponent.size)
+        flat = exponent.ravel().tolist()
+        return np.fromiter(map(math.exp, flat), float, len(flat)).reshape(exponent.shape)
     return math.exp(exponent)
 
 
@@ -225,7 +226,7 @@ def ex_ante_valuation(
 
     v1(s) = (T + r s) exp(-xi s / lam). This is also the truthful bid of a
     miner packing transactions of size s; an array of sizes gives the array
-    of bids, each equal to its scalar call bit for bit.
+    of bids, of the same shape, each equal to its scalar call bit for bit.
     """
     return (params.fixed_bonus + params.fee_rate * tx_size) * _not_orphaned(tx_size, params)
 

@@ -30,7 +30,7 @@ from edgeauction import (
     sweep_metadata,
 )
 from edgeauction import auction
-from edgeauction.experiments import DEFAULT_BLOCKCHAIN, DEFAULT_UNIT_COST, _clear_instance
+from edgeauction.experiments import DEFAULT_BLOCKCHAIN, DEFAULT_UNIT_COST, _clear_points
 
 
 class TestSeeding:
@@ -209,7 +209,7 @@ class TestRunSweep:
         spec = default_sweep_spec(param, base_seed=base_seed, unit_cost=unit_cost)
         spec = replace(spec, network=NetworkEffectParams(mu=mu, nu=spec.network.nu))
         g = data.draw(st.sampled_from(spec.grid))
-        point = _clear_instance(spec, g, index)
+        (point,) = _clear_points(spec, [(g, index)])
         roster = generate_instance(*spec.market_at(g), stable_instance_seed(base_seed, g, index))
         outcome = run_auction(roster, AuctionConfig(market=spec.market, network=spec.network))
         assert point == InstancePoint(
@@ -221,6 +221,33 @@ class TestRunSweep:
         )
         # an int, so the files write it as one
         assert type(point.winner_count) is int
+
+    @pytest.mark.parametrize("failing, named", [((2,), 2), ((3, 1), 1)])
+    def test_a_later_row_of_a_batch_that_fails_is_named_by_its_coordinates(
+        self, monkeypatch, failing, named
+    ):
+        # Two grid values of three instances clear as one batch of six rows.
+        # A counterfactual below the other winners' welfare refuses every
+        # payment of the rows it is given to; the first of them is named.
+        spec = default_sweep_spec(
+            "fee_rate", grid=(0.004, 0.007), instances_per_point=3, base_seed=3, num_users=20,
+            unit_cost=0.001,
+        )
+        original = auction._counterfactual_welfare
+
+        def broken(cleared, config):
+            values = original(cleared, config)
+            values[list(failing)] = -1.0
+            return values
+
+        monkeypatch.setattr(auction, "_counterfactual_welfare", broken)
+        grid_value, index = (0.004, 0.007)[named // 3], named % 3
+        seed = stable_instance_seed(3, grid_value, index)
+        with pytest.raises(RuntimeError, match="is negative beyond tolerance") as exc:
+            run_sweep(spec)
+        assert str(exc.value).endswith(
+            f"in the fee_rate sweep at {grid_value!r}, instance {index}, seed {seed}"
+        )
 
     def test_welfare_mismatch_names_the_sweep_coordinates(self, monkeypatch):
         spec = default_sweep_spec(
