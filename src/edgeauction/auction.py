@@ -27,7 +27,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -127,8 +127,7 @@ def welfare_of_set(bids_in_w: Iterable[float], config: AuctionConfig) -> float:
     return _welfare(len(values), sum(values), config)
 
 
-@dataclass(frozen=True)
-class _Clearing:
+class _Clearing(NamedTuple):
     """Clearing of rows of bids of one length, shared by selection and pricing."""
 
     order: np.ndarray         # (R, n): positions into each row, highest bid first
@@ -158,9 +157,8 @@ def _along_rows(values: np.ndarray, index: np.ndarray) -> np.ndarray:
     return values.ravel()[index + starts]
 
 
-# Overflow is silent here: a prefix sum past the float range is refused, and
-# a cost c*k past it makes that prefix's welfare -inf, which no argmax picks.
-@np.errstate(over="ignore")
+# Its callers silence overflow: a prefix sum past the float range is refused,
+# and a cost c*k past it makes that prefix's welfare -inf, which no argmax picks.
 def _clear(values: np.ndarray, config: AuctionConfig) -> _Clearing:
     # Highest bid first, equal bids in submission order. Where no two bids
     # of a row are equal every sort gives that one order, so the default
@@ -191,6 +189,7 @@ def _clear(values: np.ndarray, config: AuctionConfig) -> _Clearing:
     return _Clearing(order, sorted_bids, prefix, coef, welfare_by_k, m)
 
 
+@np.errstate(over="ignore")  # see _clear
 def select_winners_greedy(bids: Sequence[float], config: AuctionConfig) -> WinnerSet:
     """Select the top-k prefix of largest welfare, k up to capacity.
 
@@ -206,9 +205,12 @@ def select_winners_greedy(bids: Sequence[float], config: AuctionConfig) -> Winne
 # A column that another leads by this many margins at both ends of a row's
 # bulk bids is below it at every bulk row; see _counterfactual_welfare.
 _LEAD = 4
+# Bulk cells below which finding those columns costs more calls than the
+# cells it saves: there every winner reads the whole window.
+_PRUNE_CELLS = 1 << 15
 
 
-def _cells(lines: np.ndarray, bids: np.ndarray) -> np.ndarray:
+def _cells(lines: tuple, bids: np.ndarray) -> np.ndarray:
     """(P, W, T): each of a row's W lines (at - b) * slope - charge at each of its T bids b."""
     at, slope, charge = (x[:, :, None] for x in lines)
     block = at - bids[:, None, :]
@@ -217,36 +219,41 @@ def _cells(lines: np.ndarray, bids: np.ndarray) -> np.ndarray:
     return block
 
 
-def _cell_max(bids: np.ndarray, lines: np.ndarray, held=None) -> np.ndarray:
+def _cell_max(bids: np.ndarray, lines: tuple, held=None) -> np.ndarray:
     """Each row's largest cell at each of its bids, over its lines; (P, T) for bids (P, T).
 
-    lines is (3, P, W): at, slope and charge of each column. held = (cols,
-    ranks, values), with each row's cols and ranks ascending, puts
-    values[p, j] in the cell's place wherever cols[p, j] <= ranks[p, i].
-    Lines and bids are cut into blocks of at most _CELL_BUDGET cells.
+    lines holds the at, slope and charge of each column, each (P, W).
+    held = (cols, ranks, values), with each row's cols and ranks
+    ascending, puts values[p, j] in the cell's place wherever
+    cols[p, j] <= ranks[p, i]. Lines and bids are cut into blocks of at
+    most _CELL_BUDGET cells.
     """
-    rows, width = lines.shape[1:]
+    rows, width = lines[0].shape
     count = bids.shape[1]
     depth = max(1, min(width, _CELL_BUDGET // (rows * count)))
     span = max(1, min(count, _CELL_BUDGET // (rows * depth)))
     # The columns from the first past every rank of its row on hold lines alone.
-    held_width = 0 if held is None else int((held[0] <= held[1][:, -1:]).sum(axis=1).max())
-    best = np.full(bids.shape, -np.inf)
-    for j in range(0, width, depth):
-        columns = slice(j, j + depth)
-        for i in range(0, count, span):
-            part = slice(i, i + span)
-            block = _cells(lines[:, :, columns], bids[:, part])
+    held_width = 0 if held is None else width
+    if held_width > depth:
+        held_width = int((held[0] <= held[1][:, -1:]).sum(axis=1).max())
+    best = np.empty(bids.shape)
+    for i in range(0, count, span):
+        part = slice(i, i + span)
+        for j in range(0, width, depth):
+            columns = slice(j, j + depth)
+            block = _cells(tuple(x[:, columns] for x in lines), bids[:, part])
             if j < held_width:
                 cols, ranks, values = held
                 where = cols[:, columns, None] <= ranks[:, None, part]
                 np.copyto(block, values[:, columns, None], where=where)
-            np.maximum(best[:, part], block.max(axis=1), out=best[:, part])
+            if j:
+                np.maximum(best[:, part], block.max(axis=1), out=best[:, part])
+            else:
+                block.max(axis=1, out=best[:, part])
     return best
 
 
-# As in _clear; an infinite scale keeps every column, and its -inf cells may meet.
-@np.errstate(over="ignore", invalid="ignore")
+# Run, as _clear is, under _clear_rows's silenced overflow and invalid values.
 def _counterfactual_welfare(cleared: _Clearing, config: AuctionConfig) -> np.ndarray:
     """Welfare selection reaches with each winner removed: (R, max m), by rank.
 
@@ -283,8 +290,9 @@ def _counterfactual_welfare(cleared: _Clearing, config: AuctionConfig) -> np.nda
     """
     rows, n = cleared.sorted_bids.shape
     limit2 = min(n - 1, config.market.capacity)
-    if limit2 < 1 or not cleared.m.any():
-        return np.zeros((rows, int(cleared.m.max(initial=0))))  # no column: every value is 0
+    most = int(cleared.m.max(initial=0))
+    if limit2 < 1 or not most:
+        return np.zeros((rows, most))  # no column: every value is 0
     m, bids, prefix = cleared.m, cleared.sorted_bids, cleared.prefix
     welfare_by_k = cleared.welfare_by_k
     cost, coef = config.market.unit_cost, cleared.coef
@@ -292,56 +300,57 @@ def _counterfactual_welfare(cleared: _Clearing, config: AuctionConfig) -> np.nda
 
     # Row 0 has no column k <= 0: every one of its cells drops the highest bid.
     pre = prefix[:, 2 : limit2 + 2]
-    charge = cost * np.arange(1, limit2 + 1)
+    cost_by_k = cost * np.arange(1, limit2 + 1)
     row0 = pre - bids[:, :1]
     row0 *= coef[:limit2]
-    row0 -= charge
+    row0 -= cost_by_k
     floor = row0.max(axis=1, initial=0.0)
     scale = pre * coef[:limit2]
-    scale += charge
+    scale += cost_by_k
     scale = scale.max(axis=1, initial=0.0)
     margin = _BOUND_MARGIN * scale + _SUBNORMAL_MARGIN
     kept = welfare_by_k[:, :limit2] >= (floor - margin)[:, None]
     lo = kept.argmax(axis=1) + 1
     found = kept[index[:, 0], lo - 1]
-    # A row with no kept column has no positive cell: it reads column 1 as
-    # bulk rows alone, and its values are set to 0.
+    # A row with no kept column has no positive cell: it reads column 1
+    # alone, as bulk rows, and its values are set to 0.
     hi = np.where(found, limit2 - kept[:, ::-1].argmax(axis=1), 1)
     cols = np.minimum(lo[:, None] + np.arange(int((hi - lo).max()) + 1), hi[:, None])
-    lines = np.stack((prefix[index, cols + 1], coef[cols - 1], cost * cols))
-    # The bulk rows: ranks below every column of the window.
-    top = np.where(found, np.minimum(m, lo), m)
+    lines = (prefix[index, cols + 1], coef[cols - 1], cost * cols)
+    values = welfare_by_k[index, cols - 1]
 
-    # The cells at both ends of the bulk bids; a column is beaten where the
-    # column that leads at either end leads it by _LEAD margins at both.
-    at, slope, charge = lines
-    ends = [(at - b) * slope - charge for b in (bids[:, :1], bids[index, top[:, None] - 1])]
-    lead = _LEAD * margin[:, None]
-    beaten = np.zeros(cols.shape, dtype=bool)
-    for d in (end.argmax(axis=1)[:, None] for end in ends):
-        beaten |= (ends[0][index, d] - ends[0] >= lead) & (ends[1][index, d] - ends[1] >= lead)
-    beaten &= np.isfinite(scale)[:, None]
-    # The columns that can lead come first; a row with fewer repeats beaten
-    # columns, which are cells of the re-run as well.
-    survivors = cols.shape[1] - int(beaten.sum(axis=1).min())
-    reads = np.argsort(beaten, axis=1, kind="stable")[:, :survivors]
-    out = np.zeros((rows, int(m.max())))
-    if reads.shape[1] < cols.shape[1]:
-        bulk = _cell_max(bids[:, : int(top.max())], lines[:, index, reads])
-        out[:, : bulk.shape[1]] = bulk
+    survivors = cols.shape[1]
+    if int(m.sum()) * survivors >= _PRUNE_CELLS:
+        # The bulk rows: ranks below every column of the window.
+        top = np.where(found, np.minimum(m, lo), m)
+        # The cells at both ends of the bulk bids; a column is beaten where
+        # the column that leads at either end leads it by _LEAD margins at both.
+        at, slope, charge = lines
+        ends = [(at - b) * slope - charge for b in (bids[:, :1], bids[index, top[:, None] - 1])]
+        lead = _LEAD * margin[:, None]
+        beaten = np.zeros(cols.shape, dtype=bool)
+        for d in (end.argmax(axis=1)[:, None] for end in ends):
+            beaten |= (ends[0][index, d] - ends[0] >= lead) & (ends[1][index, d] - ends[1] >= lead)
+        beaten &= np.isfinite(scale)[:, None]
+        survivors -= int(beaten.sum(axis=1).min())
+    if survivors == cols.shape[1]:
+        # No column to drop: every winner reads the window, in one pass.
+        out = _cell_max(bids[:, :most], lines, (cols, np.arange(most)[None], values))
     else:
-        top[:] = 0  # no column to drop: every winner reads the window, in one pass
-
-    depth = int((m - top).max())
-    if depth:
-        ranks = top[:, None] + np.arange(depth)
-        inside = ranks < m[:, None]
-        ranks = np.minimum(ranks, m[:, None] - 1)
-        held = (cols, ranks, welfare_by_k[index, cols - 1])
-        rest = _cell_max(bids[index, ranks], lines, held)
-        out[np.nonzero(inside)[0], ranks[inside]] = rest[inside]
-    out[~found] = 0.0
-    return np.where(out > 0.0, out, 0.0)
+        # The columns that can lead come first; a row with fewer repeats
+        # beaten columns, which are cells of the re-run as well.
+        reads = np.argsort(beaten, axis=1, kind="stable")[:, :survivors]
+        out = np.zeros((rows, most))
+        bulk = _cell_max(bids[:, : int(top.max())], tuple(x[index, reads] for x in lines))
+        out[:, : bulk.shape[1]] = bulk
+        depth = int((m - top).max())
+        if depth:
+            ranks = top[:, None] + np.arange(depth)
+            inside = ranks < m[:, None]
+            ranks = np.minimum(ranks, m[:, None] - 1)
+            rest = _cell_max(bids[index, ranks], lines, (cols, ranks, values))
+            out[np.nonzero(inside)[0], ranks[inside]] = rest[inside]
+    return np.where((out > 0.0) & found[:, None], out, 0.0)
 
 
 def _roster_ids(ids: Iterable[int]) -> tuple[int, ...]:
@@ -412,11 +421,13 @@ class _RowFailure(RuntimeError):
         self.row = row
 
 
-# A magnitude past the float range reads as inf, and refuses nothing.
-@np.errstate(over="ignore")
+# Overflow is silent in _clear (see there), and so is it in pricing: an
+# infinite scale keeps every column, and its -inf cells may meet. A magnitude
+# past the float range reads as inf, and refuses nothing.
+@np.errstate(over="ignore", invalid="ignore")
 def _clear_rows(
     values: np.ndarray, config: AuctionConfig
-) -> tuple[np.ndarray, _Clearing, np.ndarray]:
+) -> tuple[list[float], _Clearing, np.ndarray]:
     """Clear validated rows of bids of one length: welfare, clearing and payments by rank.
 
     Row r's winners are cleared.order[r, :cleared.m[r]], in admission
@@ -431,18 +442,18 @@ def _clear_rows(
     m = cleared.m
     rows, most = m.size, int(m.max(initial=0))
     if not most:
-        return np.zeros(rows), cleared, np.zeros((rows, 0))
+        return [0.0] * rows, cleared, np.zeros((rows, 0))
     index = np.arange(rows)
-    welfare = np.where(m > 0, cleared.welfare_by_k[index, m - 1], 0.0)
     cost = config.market.unit_cost
     tolerance = _tolerance(cleared.coef[m - 1] * cleared.prefix[index, m] + cost * m)
 
     failure = None
+    welfare = [0.0] * rows
     shares = np.zeros(rows)  # w(m - 1) / (m - 1) of each row, its other winners' share
-    checked = zip(m.tolist(), welfare.tolist(), tolerance.tolist())
-    for r, (k, selected, allowed) in enumerate(checked):
+    for r, (k, allowed) in enumerate(zip(m.tolist(), tolerance.tolist())):
         if not k:
             continue
+        welfare[r] = selected = float(cleared.welfare_by_k[r, k - 1])
         check = _welfare(k, sum(cleared.sorted_bids[r, :k].tolist()), config)
         if failure is None and abs(check - selected) > allowed:
             failure = r, f"welfare mismatch: {selected!r} against {check!r}"
@@ -491,7 +502,7 @@ def clear_bids(bids: np.ndarray, config: AuctionConfig) -> tuple[float, np.ndarr
     winner_positions = cleared.order[0, :m]
     payments = np.zeros(values.size)
     payments[winner_positions] = paid[0, :m]
-    return float(welfare[0]), winner_positions, payments
+    return welfare[0], winner_positions, payments
 
 
 @dataclass(frozen=True, eq=False)

@@ -265,7 +265,7 @@ def _clear_points(spec: SweepSpec, pairs: Sequence[tuple[float, int]]) -> list[I
     return [
         InstancePoint(g, index, w, k, float(sum(row)))
         for (g, index), w, k, row in zip(
-            pairs, welfare.tolist(), cleared.m.tolist(), in_position.tolist()
+            pairs, welfare, cleared.m.tolist(), in_position.tolist()
         )
     ]
 

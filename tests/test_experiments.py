@@ -222,7 +222,7 @@ class TestRunSweep:
         # an int, so the files write it as one
         assert type(point.winner_count) is int
 
-    @pytest.mark.parametrize("failing, named", [((2,), 2), ((3, 1), 1)])
+    @pytest.mark.parametrize("failing, named", [((4,), 4), ((3, 1), 1)])
     def test_a_later_row_of_a_batch_that_fails_is_named_by_its_coordinates(
         self, monkeypatch, failing, named
     ):
