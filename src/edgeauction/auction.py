@@ -11,9 +11,10 @@ welfare; payments charge each winner the externality it imposes, computed
 from a counterfactual run without that winner. The counterfactual without
 the highest bid bounds every other one from below, and the prefix welfare
 bounds each from above, so all of them are read off the few columns where
-the prefix welfare reaches that lower bound. Those columns are cut into
-blocks that hold every winner's cell of each column, so the maximum over
-the kept columns runs along contiguous rows.
+the prefix welfare reaches that lower bound. The winners ranked above
+those columns read only the one or two of them that can lead at their
+bids. The kernel clears rows of bids of one length together, as the
+sweeps batch their instances; clear_bids is that kernel on one row.
 
 Two independent oracles are provided for cross-checking selection: an
 exact scan over top-k prefixes and an exhaustive subset enumeration (the
