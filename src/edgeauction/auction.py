@@ -429,11 +429,11 @@ class _RowFailure(RuntimeError):
 def _clear_rows(
     values: np.ndarray, config: AuctionConfig
 ) -> tuple[list[float], _Clearing, np.ndarray]:
-    """Clear validated rows of bids of one length: welfare, clearing and payments by rank.
+    """Clear validated rows of bids of one length: welfare, clearing and payments by bidder.
 
     Row r's winners are cleared.order[r, :cleared.m[r]], in admission
-    order, and paid[r, t] is the payment of its winner of rank t, 0 past
-    its winner count. Every step runs once for all rows, save the welfare
+    order, and paid[r, i] is the payment of its bidder at position i, losers
+    paying +0.0. Every step runs once for all rows, save the welfare
     check's sum of each row's winner bids and the scalar curve w(m - 1)
     that prices each row's other winners. Raises _RowFailure for the first
     row that fails the welfare check or refuses a payment, the welfare
@@ -443,7 +443,7 @@ def _clear_rows(
     m = cleared.m
     rows, most = m.size, int(m.max(initial=0))
     if not most:
-        return [0.0] * rows, cleared, np.zeros((rows, 0))
+        return [0.0] * rows, cleared, np.zeros(values.shape)
     index = np.arange(rows)
     cost = config.market.unit_cost
     tolerance = _tolerance(cleared.coef[m - 1] * cleared.prefix[index, m] + cost * m)
@@ -480,7 +480,11 @@ def _clear_rows(
             r,
         )
     # Payments within rounding residue below zero clamp to 0, as _clamp_payment does.
-    return welfare, cleared, np.where(inside & (payments >= 0.0), payments, 0.0)
+    by_rank = np.where(inside & (payments >= 0.0), payments, 0.0)
+    # Each rank goes to its bidder; the ranks past a row's winners are losers.
+    paid = np.zeros(values.shape)
+    paid[index[:, None], cleared.order[:, :most]] = by_rank
+    return welfare, cleared, paid
 
 
 def clear_bids(bids: np.ndarray, config: AuctionConfig) -> tuple[float, np.ndarray, np.ndarray]:
@@ -497,13 +501,8 @@ def clear_bids(bids: np.ndarray, config: AuctionConfig) -> tuple[float, np.ndarr
     leaves to read; each winner's cell at a column it reads is the
     expression its literal re-run evaluates there.
     """
-    values = _validate_bids(bids)
-    welfare, cleared, paid = _clear_rows(values[None], config)
-    m = int(cleared.m[0])
-    winner_positions = cleared.order[0, :m]
-    payments = np.zeros(values.size)
-    payments[winner_positions] = paid[0, :m]
-    return welfare[0], winner_positions, payments
+    welfare, cleared, paid = _clear_rows(_validate_bids(bids)[None], config)
+    return welfare[0], cleared.order[0, : cleared.m[0]], paid[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,12 +8,15 @@ realizes the share
 Given (demand, observed share) samples, the exponent alpha is recovered by
 least squares over a bounded interval: a coarse grid locates the basin,
 golden-section search refines it well below the 1e-6 reporting tolerance.
+Sums run left to right, so a fit gives the same digits on every interpreter.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -70,7 +73,7 @@ def predict_gamma(sample: HashPowerSample, alpha: float) -> float:
         raise ValueError("alpha must be > 0")
     try:
         own = sample.varied_demand**alpha
-        total = own + sum(f**alpha for f in sample.fixed_demands)
+        total = own + _sum(f**alpha for f in sample.fixed_demands)
         if total < math.inf:
             return own / total
         reason = "the sum of the powers overflows"
@@ -84,8 +87,14 @@ def predict_gamma(sample: HashPowerSample, alpha: float) -> float:
     )
 
 
+def _sum(terms: Iterable[float]) -> float:
+    # Left to right from 0, as the builtin sum is up to Python 3.11; later
+    # versions compensate float sums and would move the fit's last digits.
+    return functools.reduce(operator.add, terms, 0)
+
+
 def _objective(samples: Sequence[HashPowerSample], alpha: float) -> float:
-    return sum((predict_gamma(s, alpha) - s.observed_gamma) ** 2 for s in samples)
+    return _sum((predict_gamma(s, alpha) - s.observed_gamma) ** 2 for s in samples)
 
 
 def fit_alpha(

@@ -161,27 +161,24 @@ def stable_instance_seed(base_seed: int, grid_value: float, instance_index: int)
 
 
 def _truthful_bids(
-    num_users: int, blockchain: BlockchainParams, seed: int
+    num_users: int, blockchain: BlockchainParams, seeds: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sizes uniform on [0, 1000] and their truthful unit bids, for one instance."""
+    """Sizes uniform on [0, 1000] and their truthful unit bids, one row of each per seed."""
     if num_users < 1:
         raise ValueError("num_users must be >= 1")
-    sizes = _sizes(num_users, seed)
+    draws = (np.random.Generator(np.random.PCG64(int(seed))) for seed in seeds)
+    sizes = np.array([rng.uniform(0.0, 1000.0, size=num_users) for rng in draws])
     return sizes, ex_ante_valuation(sizes, blockchain)
-
-
-def _sizes(num_users: int, seed: int) -> np.ndarray:
-    return np.random.Generator(np.random.PCG64(int(seed))).uniform(0.0, 1000.0, size=num_users)
 
 
 def generate_instance(
     num_users: int, blockchain: BlockchainParams, seed: int
 ) -> list[BidderProfile]:
     """Draw one market instance as a roster: the bids a sweep clears for this seed."""
-    sizes, bids = _truthful_bids(num_users, blockchain, seed)
+    sizes, bids = _truthful_bids(num_users, blockchain, [seed])
     return [
         BidderProfile(id=i, tx_size=s, demand=1.0, bid=b)
-        for i, (s, b) in enumerate(zip(sizes.tolist(), bids.tolist()))
+        for i, (s, b) in enumerate(zip(sizes[0].tolist(), bids[0].tolist()))
     ]
 
 
@@ -239,15 +236,15 @@ def _clear_points(spec: SweepSpec, pairs: Sequence[tuple[float, int]]) -> list[I
     """Clear (grid value, instance index) pairs of one roster size as one batch of rows.
 
     Each row holds the bids _truthful_bids draws for the pair's seed; ids
-    range(n) and unit demands need no roster. The closed form runs once per
-    grid value, over that value's rows, which the pairs keep together.
+    range(n) and unit demands need no roster. The drawer runs once per grid
+    value, over that value's rows, which the pairs keep together. A row's
+    total payment sums its payments left to right in submission order.
     """
     seeds = [stable_instance_seed(spec.base_seed, g, i) for g, i in pairs]
     blocks = []
     for g, rows in groupby(range(len(pairs)), key=lambda row: pairs[row][0]):
         n, blockchain = spec.market_at(g)
-        sizes = np.array([_sizes(n, seeds[row]) for row in rows])
-        blocks.append(ex_ante_valuation(sizes, blockchain))
+        blocks.append(_truthful_bids(n, blockchain, [seeds[row] for row in rows])[1])
     bids = np.concatenate(blocks)
     _validate_bids(bids.ravel())
     try:
@@ -258,15 +255,11 @@ def _clear_points(spec: SweepSpec, pairs: Sequence[tuple[float, int]]) -> list[I
             f"{exc} in the {spec.swept_parameter} sweep at {g!r}, "
             f"instance {index}, seed {seeds[exc.row]}"
         ) from exc
-    # Each row's payments in position order: past its winners, the ranks hold
-    # losers paying +0.0, which leave the winners' sum as it is.
-    ranked = cleared.order[:, : paid.shape[1]]
-    in_position = np.take_along_axis(paid, np.argsort(ranked, axis=1), axis=1)
+    # A batch with no winner pays nothing, and skips the sum.
+    totals = np.cumsum(paid, axis=1)[:, -1].tolist() if cleared.m.any() else [0.0] * len(pairs)
     return [
-        InstancePoint(g, index, w, k, float(sum(row)))
-        for (g, index), w, k, row in zip(
-            pairs, welfare, cleared.m.tolist(), in_position.tolist()
-        )
+        InstancePoint(g, index, w, k, total)
+        for (g, index), w, k, total in zip(pairs, welfare, cleared.m.tolist(), totals)
     ]
 
 
@@ -285,18 +278,11 @@ def run_sweep(spec: SweepSpec) -> tuple[list[InstancePoint], list[GridMean]]:
         for start in range(0, len(pairs), step):
             points += _clear_points(spec, pairs[start : start + step])
 
-    means: list[GridMean] = []
-    for gi, g in enumerate(spec.grid):
-        chunk = points[gi * n : (gi + 1) * n]
-        means.append(
-            GridMean(
-                grid_value=g,
-                welfare=sum(p.welfare for p in chunk) / n,
-                winner_count=sum(p.winner_count for p in chunk) / n,
-                total_payment=sum(p.total_payment for p in chunk) / n,
-                n_instances=n,
-            )
-        )
+    # Each grid value's sums run left to right in instance order, whatever the
+    # interpreter's sum does; the winner counts sum exactly as floats.
+    columns = [(p.welfare, p.winner_count, p.total_payment) for p in points]
+    sums = np.cumsum(np.reshape(columns, (len(spec.grid), n, 3)), axis=1)[:, -1]
+    means = [GridMean(g, *(sums_at / n).tolist(), n) for g, sums_at in zip(spec.grid, sums)]
     return points, means
 
 

@@ -6,9 +6,13 @@ Two families of random market instances are used throughout:
     transaction sizes uniform on [0, 1000];
   * varied instances: every parameter log-jittered around its reference
     value, restricted to mu <= 1 so the network curve stays concave.
+
+compensated_sum stands in for the builtin sum of newer interpreters.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -86,3 +90,17 @@ def sample_varied_instance(
     sizes = rng.uniform(0.0, 1000.0, size=n)
     roster = truthful_roster(sizes, blockchain)
     return roster, AuctionConfig(market=market, network=network)
+
+
+def compensated_sum(terms, start=0):
+    """The builtin sum of CPython 3.12 and later on floats: Neumaier's compensated sum.
+
+    Up to 3.11 the builtin adds left to right. A module whose sum is shadowed
+    by this one shows whether its results depend on the interpreter.
+    """
+    hi, lo = float(start), 0.0
+    for x in terms:
+        t = hi + x
+        lo += (hi - t) + x if abs(hi) >= abs(x) else (x - t) + hi
+        hi = t
+    return hi + lo if lo and math.isfinite(lo) else hi

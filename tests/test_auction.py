@@ -637,7 +637,7 @@ class TestClearBids:
         [(1_000, 2.5, 0.001, 0.5), (50_000, 50.0, 0.02, 0.5), (200_000, 2.5, 0.001, 10.0)],
     )
     def test_large_markets_clear_at_the_top_k_optimum(self, n, bonus, unit_cost, mu):
-        _, bids = _truthful_bids(n, replace(DEFAULT_BLOCKCHAIN, fixed_bonus=bonus), seed=n)
+        bids = _truthful_bids(n, replace(DEFAULT_BLOCKCHAIN, fixed_bonus=bonus), [n])[1][0]
         config = AuctionConfig(
             market=MarketConfig(unit_cost=unit_cost, capacity=n, hash_exponent=1.2),
             network=NetworkEffectParams(mu=mu, nu=0.005),
@@ -712,17 +712,13 @@ _MIXED_WINNERS = [[0, 8, 1, 8, 6, 6], [0, 3, 1, 3, 3, 3], [0, 8, 8, 8, 8, 7], [0
 def _rows_cleared_together(rows, config):
     """Each row of a batch cleared by the batch kernel: (welfare, winners, payments) per row.
 
-    The payments come back by rank, padded past each row's winner count;
-    every rank goes to its position, as the sweeps read them, so a loser
+    The payments come back by bidder, as the sweeps read them, so a loser
     charged anything would show.
     """
     welfare, cleared, paid = auction._clear_rows(np.array(rows, dtype=float), config)
-    out = []
-    for r, row in enumerate(rows):
-        payments = np.zeros(len(row))
-        payments[cleared.order[r, : paid.shape[1]]] = paid[r]
-        out.append((float(welfare[r]), cleared.order[r, : cleared.m[r]], payments))
-    return out
+    return [
+        (float(welfare[r]), cleared.order[r, : cleared.m[r]], paid[r]) for r in range(len(rows))
+    ]
 
 
 class TestBatchKernel:
@@ -757,7 +753,7 @@ class TestBatchKernel:
         # their own bids, not the whale row's.
         whale = np.ones(600)
         whale[5] = 6000.0
-        rows = [_truthful_bids(600, replace(DEFAULT_BLOCKCHAIN, fee_rate=r), seed=s)[1]
+        rows = [_truthful_bids(600, replace(DEFAULT_BLOCKCHAIN, fee_rate=r), [s])[1][0]
                 for r, s in ((0.001, 11), (0.002, 17), (0.003, 14), (0.007, 12))]
         rows = [whale, *rows] if whale_first else [*rows, whale]
         config = _config(unit_cost=0.001, capacity=600)

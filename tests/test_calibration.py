@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeauction import HashPowerSample, fit_alpha, load_samples, predict_gamma
+from edgeauction import HashPowerSample, calibration, fit_alpha, load_samples, predict_gamma
+
+from conftest import compensated_sum
 
 
 def _synthetic_samples(alpha, noise=0.0, rng=None):
@@ -68,6 +70,29 @@ def test_fit_is_no_worse_than_a_uniform_grid():
 
     for a in np.linspace(0.1, 5.0, 64):
         assert fit.objective <= objective(float(a)) + 1e-12
+
+
+def _three_competitor_samples():
+    # 200 noisy samples of alpha 1.2, each against three competitors
+    rng = np.random.default_rng(2024)
+    samples = []
+    for _ in range(200):
+        d = float(rng.uniform(1.0, 100.0))
+        field = tuple(rng.uniform(1.0, 100.0, 3).tolist())
+        g = d**1.2 / (d**1.2 + sum(f**1.2 for f in field))
+        g = float(np.clip(g + rng.normal(0.0, 0.01), 1e-6, 1.0 - 1e-6))
+        samples.append(HashPowerSample(varied_demand=d, fixed_demands=field, observed_gamma=g))
+    return samples
+
+
+@pytest.mark.parametrize("interpreter_sum", ["builtin", "compensated"])
+def test_fit_sums_left_to_right_whatever_the_interpreter(monkeypatch, interpreter_sum):
+    # CPython 3.12 and later compensate the builtin sum of floats: with it,
+    # this fit would read alpha 1.203254581760321
+    if interpreter_sum == "compensated":
+        monkeypatch.setattr(calibration, "sum", compensated_sum, raising=False)
+    fit = fit_alpha(_three_competitor_samples())
+    assert (fit.alpha, fit.objective) == (1.2032545798977257, 0.022178921341860978)
 
 
 def test_flat_objective_is_flagged_degenerate():

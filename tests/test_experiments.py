@@ -29,8 +29,10 @@ from edgeauction import (
     stable_instance_seed,
     sweep_metadata,
 )
-from edgeauction import auction
+from edgeauction import auction, experiments
 from edgeauction.experiments import DEFAULT_BLOCKCHAIN, DEFAULT_UNIT_COST, _clear_points
+
+from conftest import compensated_sum
 
 
 class TestSeeding:
@@ -217,7 +219,7 @@ class TestRunSweep:
             instance_index=index,
             welfare=outcome.welfare,
             winner_count=len(outcome.winners),
-            total_payment=float(sum(outcome.payments)),
+            total_payment=float(np.cumsum(outcome.payments)[-1]),
         )
         # an int, so the files write it as one
         assert type(point.winner_count) is int
@@ -427,6 +429,31 @@ def test_default_sweep_bytes_match_recorded_digests(tmp_path):
     written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file())
     assert written == sorted(_SWEEP_DIGESTS)
     for name, digest in _SWEEP_DIGESTS.items():
+        actual = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert actual == digest, f"{name} changed: sha256 {actual}"
+
+
+# sha256 of the bonus sweep at 100 instances per grid value, base seed 0, in
+# the allocating regime, recorded as the digests above are. The mean of two
+# instances reads the same in any order of summing; those of a hundred pin it.
+_BONUS_SWEEP_DIGESTS = {
+    "sweep_fixed_bonus.csv": "8f40b5f89a0dda0f78fbb913990b3f83d1fe0fe73b47fe0040ba66da02057998",
+    "sweep_fixed_bonus_means.csv": "9ffbfd76878969626b2d2cbbb7fb048b7ba5f1a3e19eccd7a0bfb68a2ab6acb1",
+}
+
+
+@pytest.mark.parametrize("interpreter_sum", ["builtin", "compensated"])
+def test_bonus_sweep_sums_left_to_right_whatever_the_interpreter(
+    tmp_path, monkeypatch, interpreter_sum
+):
+    # CPython 3.12 and later compensate the builtin sum of floats: with it,
+    # the welfare mean at fixed_bonus=0 would end in ...106, not ...108
+    if interpreter_sum == "compensated":
+        monkeypatch.setattr(experiments, "sum", compensated_sum, raising=False)
+    spec = default_sweep_spec("fixed_bonus", instances_per_point=100, base_seed=0, unit_cost=0.001)
+    points, means = run_sweep(spec)
+    emit_results(points, means, "csv", tmp_path / "sweep_fixed_bonus.csv", sweep_param="fixed_bonus")
+    for name, digest in _BONUS_SWEEP_DIGESTS.items():
         actual = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert actual == digest, f"{name} changed: sha256 {actual}"
 
