@@ -13,8 +13,9 @@ the highest bid bounds every other one from below, and the prefix welfare
 bounds each from above, so all of them are read off the few columns where
 the prefix welfare reaches that lower bound. The winners ranked above
 those columns read only the one or two of them that can lead at their
-bids. The kernel clears rows of bids of one length together, as the
-sweeps batch their instances; clear_bids is that kernel on one row.
+bids. The kernel clears rows of bids together, as the sweeps batch their
+instances, a shorter row's tail padded with -inf; clear_bids is that
+kernel on one row.
 
 Two independent oracles are provided for cross-checking selection: an
 exact scan over top-k prefixes and an exhaustive subset enumeration (the
@@ -129,7 +130,11 @@ def welfare_of_set(bids_in_w: Iterable[float], config: AuctionConfig) -> float:
 
 
 class _Clearing(NamedTuple):
-    """Clearing of rows of bids of one length, shared by selection and pricing."""
+    """Clearing of rows of bids, shared by selection and pricing.
+
+    A row shorter than n ends in -inf bids, which sort last and make every
+    prefix, welfare and pricing cell past its own bids -inf.
+    """
 
     order: np.ndarray         # (R, n): positions into each row, highest bid first
     sorted_bids: np.ndarray   # (R, n): each row's bids in that order
@@ -164,10 +169,12 @@ def _clear(values: np.ndarray, config: AuctionConfig) -> _Clearing:
     # Highest bid first, equal bids in submission order. Where no two bids
     # of a row are equal every sort gives that one order, so the default
     # kind (a SIMD quicksort, several times faster) serves; rows with equal
-    # neighbours once sorted, -0.0 and 0.0 among them, take the stable sort.
+    # neighbours once sorted, -0.0 and 0.0 among them, take the stable sort;
+    # a -inf tail ties with itself alone, and sorts last in any order.
     order = np.argsort(-values, axis=1)
     sorted_bids = _along_rows(values, order)
-    tied = (sorted_bids[:, 1:] == sorted_bids[:, :-1]).any(axis=1)
+    below = sorted_bids[:, 1:]
+    tied = ((below == sorted_bids[:, :-1]) & (below > -np.inf)).any(axis=1)
     if tied.any():
         order[tied] = np.argsort(-values[tied], axis=1, kind="stable")
         sorted_bids = _along_rows(values, order)
@@ -175,7 +182,8 @@ def _clear(values: np.ndarray, config: AuctionConfig) -> _Clearing:
     prefix = np.empty((rows, n + 1))
     prefix[:, 0] = 0.0
     np.cumsum(sorted_bids, axis=1, out=prefix[:, 1:])
-    if not np.isfinite(prefix[:, -1]).all():
+    # A sum past the float range reads +inf, or NaN once a -inf tail adds on.
+    if not (prefix[:, -1] < np.inf).all():
         raise ValueError("bids overflow: their sum is not finite")
     limit = min(n, config.market.capacity)
     kk, coef = _curve(limit, config.network)
@@ -408,6 +416,7 @@ def _refusal(p: np.ndarray) -> str:
 
 def _instance(values: np.ndarray, m: int, config: AuctionConfig) -> str:
     """The instance a consistency failure of one row names, built only to raise."""
+    values = values[values > -np.inf]  # a -inf tail pads the row; it holds no bids
     return (
         f"(n={values.size}, m={m}, capacity={config.market.capacity}, "
         f"bids from {float(values.min())!r} to {float(values.max())!r})"
@@ -429,11 +438,12 @@ class _RowFailure(RuntimeError):
 def _clear_rows(
     values: np.ndarray, config: AuctionConfig
 ) -> tuple[list[float], _Clearing, np.ndarray]:
-    """Clear validated rows of bids of one length: welfare, clearing and payments by bidder.
+    """Clear validated rows of bids: welfare, clearing and payments by bidder.
 
     Row r's winners are cleared.order[r, :cleared.m[r]], in admission
     order, and paid[r, i] is the payment of its bidder at position i, losers
-    paying +0.0. Every step runs once for all rows, save the welfare
+    paying +0.0. A row shorter than the widest ends in -inf bids, none of
+    which wins, so each is paid +0.0 as well. Every step runs once for all rows, save the welfare
     check's sum of each row's winner bids and the scalar curve w(m - 1)
     that prices each row's other winners. Raises _RowFailure for the first
     row that fails the welfare check or refuses a payment, the welfare

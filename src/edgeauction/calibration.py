@@ -14,14 +14,12 @@ Sums run left to right, so a fit gives the same digits on every interpreter.
 from __future__ import annotations
 
 import csv
-import functools
 import math
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .model import _invalid
+from .model import _invalid, _sum
 
 __all__ = [
     "HashPowerSample",
@@ -85,12 +83,6 @@ def predict_gamma(sample: HashPowerSample, alpha: float) -> float:
         f"the share of the sample with varied_demand {sample.varied_demand!r} "
         f"cannot be evaluated at alpha {alpha!r}: {reason}"
     )
-
-
-def _sum(terms: Iterable[float]) -> float:
-    # Left to right from 0, as the builtin sum is up to Python 3.11; later
-    # versions compensate float sums and would move the fit's last digits.
-    return functools.reduce(operator.add, terms, 0)
 
 
 def _objective(samples: Sequence[HashPowerSample], alpha: float) -> float:

@@ -233,20 +233,26 @@ def default_sweep_spec(
 
 
 def _clear_points(spec: SweepSpec, pairs: Sequence[tuple[float, int]]) -> list[InstancePoint]:
-    """Clear (grid value, instance index) pairs of one roster size as one batch of rows.
+    """Clear (grid value, instance index) pairs as one batch of rows.
 
     Each row holds the bids _truthful_bids draws for the pair's seed; ids
     range(n) and unit demands need no roster. The drawer runs once per grid
-    value, over that value's rows, which the pairs keep together. A row's
-    total payment sums its payments left to right in submission order.
+    value, over that value's rows, which the pairs keep together. Once its
+    bids are checked, a row shorter than the widest is padded with -inf,
+    which the kernel sorts last and pays +0.0. A row's total payment sums
+    its payments left to right in submission order.
     """
     seeds = [stable_instance_seed(spec.base_seed, g, i) for g, i in pairs]
     blocks = []
     for g, rows in groupby(range(len(pairs)), key=lambda row: pairs[row][0]):
         n, blockchain = spec.market_at(g)
         blocks.append(_truthful_bids(n, blockchain, [seeds[row] for row in rows])[1])
-    bids = np.concatenate(blocks)
-    _validate_bids(bids.ravel())
+        _validate_bids(blocks[-1].ravel())
+    bids = np.full((len(pairs), max(block.shape[1] for block in blocks)), -np.inf)
+    start = 0
+    for block in blocks:
+        bids[start : start + len(block), : block.shape[1]] = block
+        start += len(block)
     try:
         welfare, cleared, paid = _clear_rows(bids, AuctionConfig(spec.market, spec.network))
     except _RowFailure as exc:
@@ -266,17 +272,27 @@ def _clear_points(spec: SweepSpec, pairs: Sequence[tuple[float, int]]) -> list[I
 def run_sweep(spec: SweepSpec) -> tuple[list[InstancePoint], list[GridMean]]:
     """Clear every (grid value, instance) pair and aggregate per-point means.
 
-    Results are ordered by grid position then instance index. Pairs of one
-    roster size clear as batches of rows, each of at most the kernel's cell
-    budget of bids (or one row): the whole sweep, or one user count at a time.
+    Results are ordered by grid position then instance index. The pairs
+    clear in that order as batches of rows, each batch as many rows as fit
+    the kernel's cell budget at its widest row (or one row): at the default
+    settings, the whole sweep in one batch.
     """
     n = spec.instances_per_point
+    # A row is as wide as its roster. Only the num_users sweep varies that,
+    # so only it asks market_at, which builds chain parameters for the others.
+    varied = spec.swept_parameter == "num_users"
     points: list[InstancePoint] = []
-    for num_users, grid in groupby(spec.grid, key=lambda g: spec.market_at(g)[0]):
-        pairs = [(g, i) for g in grid for i in range(n)]
-        step = max(1, _CELL_BUDGET // num_users)
-        for start in range(0, len(pairs), step):
-            points += _clear_points(spec, pairs[start : start + step])
+    batch: list[tuple[float, int]] = []
+    width = 0
+    for g in spec.grid:
+        size = spec.market_at(g)[0] if varied else spec.num_users
+        for i in range(n):
+            width = max(width, size)
+            if batch and (len(batch) + 1) * width > _CELL_BUDGET:
+                points += _clear_points(spec, batch)
+                batch, width = [], size
+            batch.append((g, i))
+    points += _clear_points(spec, batch)
 
     # Each grid value's sums run left to right in instance order, whatever the
     # interpreter's sum does; the winner counts sum exactly as floats.

@@ -23,9 +23,11 @@ is what the exp(-xi s / lam) factor prices in.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -53,6 +55,12 @@ def _invalid(name: str, value: float, bound: str) -> ValueError:
     if not math.isfinite(value):
         return ValueError(f"{name} must be finite")
     return ValueError(f"{name} must be {bound}")
+
+
+def _sum(terms: Iterable[float]) -> float:
+    # Left to right from 0, as the builtin sum is up to Python 3.11; later
+    # versions compensate float sums and would move the last digits.
+    return functools.reduce(operator.add, terms, 0)
 
 
 @dataclass(frozen=True)
@@ -249,7 +257,7 @@ def ex_post_valuation(
     if allocation[bidder_index] == 0:
         return 0.0
     gammas = hash_power([p.demand for p in profiles], allocation, alpha)
-    total = sum(p.demand * x for p, x in zip(profiles, allocation))
+    total = _sum(p.demand * x for p, x in zip(profiles, allocation))
     me = profiles[bidder_index]
     return (
         float(gammas[bidder_index])
@@ -276,9 +284,9 @@ def general_social_welfare(
     if not any(allocation):
         return 0.0
     gammas = hash_power(demands, allocation, market.hash_exponent)
-    total = sum(d * x for d, x in zip(demands, allocation))
+    total = _sum(d * x for d, x in zip(demands, allocation))
     w = network_effect(total, network)
-    value = sum(
+    value = _sum(
         float(g) * w * ex_ante_valuation(p.tx_size, blockchain)
         for p, g, x in zip(profiles, gammas, allocation)
         if x != 0

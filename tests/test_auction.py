@@ -677,13 +677,18 @@ def _batch_row(draw, n):
 
 
 @st.composite
-def _batches(draw):
-    """1-6 rows of one length under one market: mu 0.05..10, capacity that may bind."""
-    n = draw(st.integers(1, 40))
+def _batches(draw, ragged=False):
+    """1-6 rows under one market: mu 0.05..10, capacity that may bind.
+
+    The rows are of one length in 1-40 bidders, or, if ragged, each of its own.
+    """
+    lengths = st.integers(1, 40)
+    row = lengths.flatmap(_batch_row) if ragged else _batch_row(draw(lengths))
     scale = 10.0 ** draw(st.integers(-6, 6))
-    drawn = draw(st.lists(_batch_row(n), min_size=1, max_size=6))
+    drawn = draw(st.lists(row, min_size=1, max_size=6))
     rows = [[scale * b for b in row] for row in drawn]
     mu, nu = draw(st.floats(0.05, 10.0)), draw(st.floats(0.005, 1.0))
+    n = max(map(len, rows))
     capacity = draw(st.sampled_from([n, draw(st.integers(1, n))]))
     cost = scale * 10.0 ** draw(st.floats(-5.0, -1.0))
     return rows, _config(unit_cost=cost, capacity=capacity, network=NetworkEffectParams(mu, nu))
@@ -709,16 +714,41 @@ _MIXED_MARKETS = [
 _MIXED_WINNERS = [[0, 8, 1, 8, 6, 6], [0, 3, 1, 3, 3, 3], [0, 8, 8, 8, 8, 7], [0, 5, 5, 5, 5, 5]]
 
 
+def _padded(rows):
+    """Rows of bids as one array, each shorter row's tail -inf, as the sweeps pad them."""
+    width = max(map(len, rows))
+    return np.array([[*row, *[-np.inf] * (width - len(row))] for row in rows], dtype=float)
+
+
 def _rows_cleared_together(rows, config):
     """Each row of a batch cleared by the batch kernel: (welfare, winners, payments) per row.
 
     The payments come back by bidder, as the sweeps read them, so a loser
-    charged anything would show.
+    charged anything would show; a shorter row's are as wide as the widest.
     """
-    welfare, cleared, paid = auction._clear_rows(np.array(rows, dtype=float), config)
+    welfare, cleared, paid = auction._clear_rows(_padded(rows), config)
     return [
         (float(welfare[r]), cleared.order[r, : cleared.m[r]], paid[r]) for r in range(len(rows))
     ]
+
+
+def _assert_each_row_clears_as_itself(rows, config):
+    """Each row of the batch bit-equal to the literal loop and to its own one-row clear.
+
+    Losers are paid exactly +0.0, and so is a shorter row's -inf tail.
+    """
+    for row, (welfare, winners, payments) in zip(rows, _rows_cleared_together(rows, config)):
+        roster = [BidderProfile(id=i, tx_size=0.0, demand=1.0, bid=b) for i, b in enumerate(row)]
+        expected, expected_welfare, m, _ = _reference_clearing(roster, config)
+        rank = sorted(range(len(row)), key=lambda i: (-row[i], i))
+        assert winners.tolist() == rank[:m]
+        assert payments[: len(row)].tobytes() == np.array(expected).tobytes()
+        assert payments[len(row) :].tobytes() == np.zeros(payments.size - len(row)).tobytes()
+        assert np.float64(welfare).tobytes() == np.float64(expected_welfare).tobytes()
+        alone_welfare, alone_winners, alone_payments = clear_bids(np.array(row), config)
+        assert alone_winners.tolist() == winners.tolist()
+        assert alone_payments.tobytes() == payments[: len(row)].tobytes()
+        assert np.float64(alone_welfare).tobytes() == np.float64(welfare).tobytes()
 
 
 class TestBatchKernel:
@@ -731,19 +761,23 @@ class TestBatchKernel:
     @example((_MIXED_ROWS, _MIXED_MARKETS[3]))
     @settings(max_examples=300, deadline=None)
     def test_each_row_clears_as_the_literal_loop_and_as_itself_alone(self, batch):
-        rows, config = batch
-        for row, (welfare, winners, payments) in zip(rows, _rows_cleared_together(rows, config)):
-            roster = [BidderProfile(id=i, tx_size=0.0, demand=1.0, bid=b) for i, b in enumerate(row)]
-            expected, expected_welfare, m, _ = _reference_clearing(roster, config)
-            rank = sorted(range(len(row)), key=lambda i: (-row[i], i))
-            assert winners.tolist() == rank[:m]
-            # bit for bit, and losers at exactly +0.0
-            assert payments.tobytes() == np.array(expected).tobytes()
-            assert np.float64(welfare).tobytes() == np.float64(expected_welfare).tobytes()
-            alone_welfare, alone_winners, alone_payments = clear_bids(np.array(row), config)
-            assert alone_winners.tolist() == winners.tolist()
-            assert alone_payments.tobytes() == payments.tobytes()
-            assert np.float64(alone_welfare).tobytes() == np.float64(welfare).tobytes()
+        _assert_each_row_clears_as_itself(*batch)
+
+    @given(_batches(ragged=True))
+    @example(([[0.3, 0.9, 0.1], _MIXED_ROWS[5] * 4, [1.0], _MIXED_ROWS[2]], _MIXED_MARKETS[2]))
+    @example(([[0.3, 0.9, 0.1], _MIXED_ROWS[5] * 4, [1.0], _MIXED_ROWS[2]], _MIXED_MARKETS[1]))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_of_different_lengths_clear_as_themselves(self, batch):
+        _assert_each_row_clears_as_itself(*batch)
+
+    @pytest.mark.parametrize("short_overflows", [True, False])
+    def test_a_sum_past_the_float_range_is_refused_beside_a_shorter_row(self, short_overflows):
+        # past a short row's bids, its -inf tail turns an overflowed sum into NaN
+        rows = [[1e308, 1e308], [0.5, 0.25, 0.125, 1.0]]
+        if not short_overflows:
+            rows = [[0.5, 0.25], [1e308, 0.25, 1e308, 1.0]]
+        with pytest.raises(ValueError, match="bids overflow"):
+            _rows_cleared_together(rows, _config(capacity=4))
 
     @pytest.mark.parametrize("whale_first", [True, False])
     def test_sweep_rows_beside_a_whale_clear_as_the_literal_loop(self, whale_first):

@@ -251,6 +251,31 @@ class TestRunSweep:
             f"in the fee_rate sweep at {grid_value!r}, instance {index}, seed {seed}"
         )
 
+    def test_a_short_row_of_a_ragged_batch_that_fails_is_named_as_itself(self, monkeypatch):
+        # Two user counts of two instances clear as one batch of rows 10, 10,
+        # 20 and 20 bids wide. The second 10-bidder row is refused: it is
+        # named by its own roster size and bids, not by its -inf tail.
+        spec = default_sweep_spec(
+            "num_users", grid=(10, 20), instances_per_point=2, base_seed=3, unit_cost=0.001
+        )
+        original = auction._counterfactual_welfare
+
+        def broken(cleared, config):
+            assert cleared.sorted_bids.shape == (4, 20)
+            values = original(cleared, config)
+            values[1] = -1.0
+            return values
+
+        monkeypatch.setattr(auction, "_counterfactual_welfare", broken)
+        seed = stable_instance_seed(3, 10, 1)
+        bids = experiments._truthful_bids(10, DEFAULT_BLOCKCHAIN, [seed])[1][0]
+        with pytest.raises(RuntimeError, match="is negative beyond tolerance") as exc:
+            run_sweep(spec)
+        message = str(exc.value)
+        assert "(n=10, m=" in message and "inf" not in message
+        assert f"bids from {float(bids.min())!r} to {float(bids.max())!r})" in message
+        assert message.endswith(f"in the num_users sweep at 10, instance 1, seed {seed}")
+
     def test_welfare_mismatch_names_the_sweep_coordinates(self, monkeypatch):
         spec = default_sweep_spec(
             "fee_rate", grid=(0.007,), instances_per_point=1, base_seed=3, num_users=20,

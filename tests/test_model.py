@@ -21,10 +21,12 @@ from edgeauction import (
     network_effect,
     orphan_probability,
 )
+from edgeauction import model, run_auction
 from edgeauction.auction import AuctionConfig, welfare_of_set
+from edgeauction.experiments import generate_instance
 from edgeauction.model import _profile_in_bounds
 
-from conftest import DEFAULT_BLOCKCHAIN, DEFAULT_NETWORK, sample_default_instance
+from conftest import DEFAULT_BLOCKCHAIN, DEFAULT_NETWORK, compensated_sum, sample_default_instance
 
 
 class TestFrozenValues:
@@ -365,3 +367,21 @@ def test_general_welfare_with_non_unit_demands():
         ex_post_valuation(i, profiles, [1, 1], blockchain, network, 1.2) for i in range(2)
     )
     assert got == per_miner - 0.02 * 5.0
+
+
+@pytest.mark.parametrize("interpreter_sum", ["builtin", "compensated"])
+def test_general_welfare_sums_left_to_right_whatever_the_interpreter(monkeypatch, interpreter_sum):
+    # Cleared 600-bidder instances of the reference market at unit cost
+    # 0.001, each to the digits a left-to-right sum gives. CPython 3.12 and
+    # later compensate the builtin sum of floats: with it, these would read
+    # 1.758002055543174, 1.7801808617674972 and 1.7535734641496756.
+    if interpreter_sum == "compensated":
+        monkeypatch.setattr(model, "sum", compensated_sum, raising=False)
+    market = MarketConfig(unit_cost=0.001, capacity=600, hash_exponent=1.2)
+    config = AuctionConfig(market=market, network=DEFAULT_NETWORK)
+    recorded = {0: 1.7580020555431748, 3: 1.7801808617674963, 4: 1.7535734641496747}
+    for seed, welfare in recorded.items():
+        roster = generate_instance(600, DEFAULT_BLOCKCHAIN, seed)
+        allocation = run_auction(roster, config).allocation
+        got = general_social_welfare(roster, allocation, DEFAULT_BLOCKCHAIN, DEFAULT_NETWORK, market)
+        assert got == welfare
