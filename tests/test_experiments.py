@@ -198,6 +198,19 @@ class TestRunSweep:
         assert all(p.winner_count <= 5 for p in points[:2])
         assert all(p.winner_count <= 10 for p in points[2:])
 
+    @pytest.mark.parametrize("batch_bids", [1, 45, 1 << 16])
+    def test_num_users_points_do_not_depend_on_how_the_rows_are_batched(
+        self, monkeypatch, batch_bids
+    ):
+        # rows of 5, 10 and 20 bids: one row per batch, a few ragged rows
+        # per batch, or the whole sweep in one
+        spec = default_sweep_spec(
+            "num_users", grid=(5, 10, 20), instances_per_point=3, base_seed=2, unit_cost=0.001
+        )
+        alone = [_clear_points(spec, [(g, i)])[0] for g in spec.grid for i in range(3)]
+        monkeypatch.setattr(experiments, "_BATCH_BIDS", batch_bids)
+        assert run_sweep(spec)[0] == alone
+
     @given(
         param=st.sampled_from(SWEEPABLE_PARAMETERS),
         unit_cost=st.sampled_from([0.001, DEFAULT_UNIT_COST]),
