@@ -52,15 +52,16 @@ def truthful_roster(sizes, blockchain) -> list[BidderProfile]:
 
 
 def sample_default_instance(
-    rng: np.random.Generator, lo: int = 1, hi: int = 200
+    rng: np.random.Generator, lo: int = 1, hi: int = 200, unit_cost: float = DEFAULT_UNIT_COST
 ) -> tuple[list[BidderProfile], AuctionConfig]:
-    """Reference-market instance with N ~ U{lo..hi} and non-binding capacity."""
+    """Reference-market instance with N ~ U{lo..hi} and non-binding capacity.
+
+    unit_cost replaces the reference cost only; the draws do not depend on it.
+    """
     n = int(rng.integers(lo, hi + 1))
     sizes = rng.uniform(0.0, 1000.0, size=n)
     roster = truthful_roster(sizes, DEFAULT_BLOCKCHAIN)
-    market = MarketConfig(
-        unit_cost=DEFAULT_UNIT_COST, capacity=n, hash_exponent=DEFAULT_HASH_EXPONENT
-    )
+    market = MarketConfig(unit_cost=unit_cost, capacity=n, hash_exponent=DEFAULT_HASH_EXPONENT)
     return roster, AuctionConfig(market=market, network=DEFAULT_NETWORK)
 
 

@@ -1,10 +1,12 @@
 """Acceptance criteria for the whole package, one test per criterion.
 
 Each test prints a single [PASS]/[FAIL] line with a short factual detail,
-then asserts. The reference market clears nothing, so the sweep-trend
-criteria 7 and 8 run in the allocating regime (conftest's
-ALLOCATING_UNIT_COST) with the reference seeds, grids and instance counts,
-and so does a companion to criterion 6 for the user sweep.
+then asserts. The reference market clears nothing, so criteria 2 and 3
+draw their default-market instances, and the sweep-trend criteria 7 and 8
+run, in the allocating regime (conftest's ALLOCATING_UNIT_COST) with the
+reference seeds, grids and instance counts, and so does a companion to
+criterion 6 for the user sweep. Criteria 2, 3 and 5 each assert that some
+instance has a winner, so none of them can pass on empty winner sets.
 There the winner count of the bonus sweep peaks inside its grid, so
 criterion 7 fails on that one clause; its detail string gives the peak.
 """
@@ -97,13 +99,13 @@ def _report(name: str, ok: bool, detail: str) -> None:
 def _criterion2_instances():
     rng = np.random.default_rng(20240812)
     for _ in range(1000):
-        yield sample_default_instance(rng, lo=1, hi=200)
+        yield sample_default_instance(rng, lo=1, hi=200, unit_cost=ALLOCATING_UNIT_COST)
 
 
 def _criterion3_instances():
     rng = np.random.default_rng(20240813)
     for _ in range(200):
-        yield sample_default_instance(rng, lo=1, hi=12)
+        yield sample_default_instance(rng, lo=1, hi=12, unit_cost=ALLOCATING_UNIT_COST)
 
 
 def _criterion4_instances():
@@ -153,10 +155,9 @@ def test_criterion_2_greedy_matches_topk_on_default_market():
     elapsed = time.perf_counter() - start
     _report(
         "greedy agreement",
-        worst <= 1e-9,
-        f"1000 default-market instances, max gap {worst:.3e}, {elapsed:.1f}s; "
-        f"{nonempty} non-empty winner sets (default pricing clears nothing, "
-        f"so agreement is exercised at the empty optimum); "
+        worst <= 1e-9 and nonempty > 0,
+        f"1000 default-market instances in the {_regime_detail()}, "
+        f"max gap {worst:.3e}, {elapsed:.1f}s; {nonempty} allocate; "
         f"{len(mismatches)} mismatches {mismatches[:3]}",
     )
 
@@ -167,8 +168,10 @@ def test_criterion_3_truthful_bidding_maximizes_utility():
     violations = 0
     worst_gain = 0.0
     checked = 0
+    allocating = 0
     for roster, config in _criterion3_instances():
         truthful = run_auction(roster, config)
+        allocating += bool(truthful.winners)
         for i, bidder in enumerate(roster):
             base = bidder_utility(bidder.id, bidder.bid, truthful, config)
             for misreport in rng.uniform(0.0, 2.0 * bidder.bid, size=50):
@@ -183,12 +186,11 @@ def test_criterion_3_truthful_bidding_maximizes_utility():
     elapsed = time.perf_counter() - start
     _report(
         "truthfulness",
-        violations == 0 and elapsed < 60.0,
-        f"{checked} misreports over 200 instances, {violations} profitable, "
-        f"worst gain {worst_gain:.3e}, {elapsed:.1f}s; no default-market "
-        f"misreport below 2v' can cross the {_BREAK_EVEN_BID:.2f} break-even "
-        f"bid, so utilities are identically 0 here; the pricing rule is not "
-        f"truthful off this market (pinned in test_auction.py)",
+        violations == 0 and allocating > 0 and elapsed < 60.0,
+        f"{checked} misreports over 200 default-market instances in the "
+        f"{_regime_detail()}, {allocating} allocate when truthful; "
+        f"{violations} profitable, worst gain {worst_gain:.3e}, {elapsed:.1f}s; "
+        f"the pricing rule is not truthful off this market (pinned in test_auction.py)",
     )
 
 
@@ -226,11 +228,13 @@ def test_criterion_5_individual_rationality_and_payment_bounds():
     nonzero_loser_payments = 0
     winners_checked = 0
     instances = 0
+    allocating = 0
     for source in (_criterion2_instances, _criterion3_instances, _criterion4_instances):
         for roster, config in source():
             instances += 1
             outcome = run_auction(roster, config)
             m = len(outcome.winners)
+            allocating += m > 0
             share = (network_effect(float(m), config.network) / m) if m else 0.0
             winner_ids = set(outcome.winners)
             for bidder, payment in zip(roster, outcome.payments):
@@ -252,11 +256,12 @@ def test_criterion_5_individual_rationality_and_payment_bounds():
         and overcharges == 0
         and nonzero_loser_payments == 0
         and winners_checked > 500
+        and allocating > 0
     )
     _report(
         "individual rationality and payment bounds",
         ok,
-        f"{instances} instances, {winners_checked} winners: "
+        f"{instances} instances, {allocating} allocate, {winners_checked} winners: "
         f"{ir_violations} IR violations, {negative_payments} negative payments, "
         f"{overcharges} payments above the allocated bid share, "
         f"{nonzero_loser_payments} paying losers, {elapsed:.1f}s",

@@ -305,11 +305,99 @@ def test_array_of_sizes_gives_the_scalar_bids_bit_for_bit(sizes, bonus, fee_rate
     assert bids.tobytes() == scalar.tobytes()
 
 
+@pytest.mark.parametrize("interval", [100.0, 1800.0])
+def test_array_of_many_sizes_gives_the_scalar_bids_bit_for_bit(interval):
+    # The ends of the block-interval grid, where -s/lam spans [-10, 0] and
+    # [-0.56, 0]. The count of plain np.exp misses in the message shows the
+    # array path is not matched by luck; it depends on the CPU, so it is
+    # not asserted.
+    params = dataclasses.replace(DEFAULT_BLOCKCHAIN, mean_block_interval=interval)
+    sizes = np.random.default_rng(260).uniform(0.0, 1000.0, size=200_000)
+    bids = ex_ante_valuation(sizes, params)
+    scalar = np.array([ex_ante_valuation(s, params) for s in sizes.tolist()])
+    exponent = -(params.propagation_coeff * sizes) / interval
+    libm = np.fromiter(map(math.exp, exponent.tolist()), float, sizes.size)
+    plain_misses = int(np.count_nonzero(np.exp(exponent) != libm))
+    assert bids.tobytes() == scalar.tobytes(), (
+        f"{np.count_nonzero(bids != scalar)} of {sizes.size} array bids differ from their "
+        f"scalar calls; plain np.exp differs from math.exp on {plain_misses} of the exponents"
+    )
+
+
+# math.exp(-(1.0 * s) / lam) at sweep sizes s on [0, 1000] and block
+# intervals lam of the default grid, as float.hex. At the first four sizes of
+# each interval, numpy's AVX-512 exp gives a different last bit.
+_LIBM_EXP_BITS = {
+    100.0: (
+        (946.82, "0x1.44186d4fc2b2cp-14"),
+        (695.995, "0x1.f19ff4903e71bp-11"),
+        (494.83, "0x1.d10214cc105f7p-8"),
+        (281.613, "0x1.ea2f6b76eac07p-5"),
+        (178.935, "0x1.5628213bd0831p-3"),
+        (1000.0, "0x1.7cd79b5647c9bp-15"),
+    ),
+    312.5: (
+        (258.859, "0x1.bf409adb418bap-2"),
+        (454.641, "0x1.de133848406f6p-3"),
+        (794.53, "0x1.423b423839568p-4"),
+        (725.188, "0x1.924959429f335p-4"),
+        (854.826, "0x1.09b0259ee1060p-4"),
+        (1000.0, "0x1.4dec899fffb47p-5"),
+    ),
+    600.0: (
+        (274.34, "0x1.441cd9d754b4dp-1"),
+        (161.357, "0x1.8744f68988ec0p-1"),
+        (127.291, "0x1.9e208a5a96141p-1"),
+        (121.391, "0x1.a2382dca9edc2p-1"),
+        (450.355, "0x1.e36ad0786dbb4p-2"),
+        (1000.0, "0x1.82d1364998ceap-3"),
+    ),
+    1162.5: (
+        (623.251, "0x1.2b86287d29416p-1"),
+        (889.628, "0x1.dc5f656af0173p-2"),
+        (147.951, "0x1.c2d0658e125fdp-1"),
+        (958.733, "0x1.c0e13d88072ddp-2"),
+        (774.775, "0x1.06eba27861185p-1"),
+        (1000.0, "0x1.b1398c3535b4cp-2"),
+    ),
+    1800.0: (
+        (314.883, "0x1.add47677b1cf6p-1"),
+        (772.887, "0x1.4d44440183d5ep-1"),
+        (157.772, "0x1.d5087e8987735p-1"),
+        (26.078, "0x1.f8a2bf5ddccd2p-1"),
+        (525.288, "0x1.7e6969b7d7a38p-1"),
+        (1000.0, "0x1.25c3022412203p-1"),
+    ),
+}
+
+
+@pytest.mark.parametrize("interval", sorted(_LIBM_EXP_BITS))
+def test_libm_exp_gives_the_recorded_bits_at_sweep_exponents(interval):
+    # A canary for the sweep digests: if they fail on another machine and
+    # this fails too, its libm rounds exp differently from the recording.
+    sizes, bits = zip(*_LIBM_EXP_BITS[interval])
+    params = dataclasses.replace(DEFAULT_BLOCKCHAIN, mean_block_interval=interval)
+    scalar = [math.exp(-(params.propagation_coeff * s) / interval).hex() for s in sizes]
+    array = [x.hex() for x in model._not_orphaned(np.array(sizes), params).tolist()]
+    assert scalar == list(bits), "math.exp: this libm differs from the recorded bits"
+    assert array == list(bits), "the array path differs from the recorded libm bits"
+
+
 def test_ex_ante_valuation_refuses_a_negative_size():
-    with pytest.raises(ValueError, match="tx_size"):
+    with pytest.raises(ValueError, match="tx_size must be >= 0"):
         ex_ante_valuation(-1.0, DEFAULT_BLOCKCHAIN)
-    with pytest.raises(ValueError, match="tx_size"):
+    with pytest.raises(ValueError, match="tx_size must be >= 0"):
         ex_ante_valuation(np.array([3.0, -1.0]), DEFAULT_BLOCKCHAIN)
+
+
+@pytest.mark.parametrize("size", [math.nan, math.inf, -math.inf])
+def test_ex_ante_valuation_refuses_a_non_finite_size(size):
+    with pytest.raises(ValueError, match="tx_size must be finite"):
+        ex_ante_valuation(size, DEFAULT_BLOCKCHAIN)
+    with pytest.raises(ValueError, match="tx_size must be finite"):
+        ex_ante_valuation(np.array([3.0, size]), DEFAULT_BLOCKCHAIN)
+    with pytest.raises(ValueError, match="tx_size must be finite"):
+        orphan_probability(size, DEFAULT_BLOCKCHAIN)
 
 
 def test_general_welfare_matches_set_form_on_unit_demands():
