@@ -170,7 +170,7 @@ def hash_power(
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
     d = np.asarray(demands, dtype=float)
-    if np.any(d <= 0):
+    if not (d > 0).all():
         raise ValueError("demands must be > 0")
     x = np.asarray(allocation, dtype=float)
     weights = d**alpha * x
@@ -180,15 +180,25 @@ def hash_power(
     return weights / total
 
 
-def _not_orphaned(tx_size: float | np.ndarray, params: BlockchainParams) -> float | np.ndarray:
-    """exp(-xi s / lam), the chance a block of size s is not orphaned.
+def _exp(x: float | np.ndarray) -> float | np.ndarray:
+    """e^x through libm's exp, the function math.exp calls, for a float or an array.
 
-    Every size must be finite and >= 0. An array, of any shape, gives the
-    array of chances, each equal to its scalar call bit for bit: the exp
-    runs in one numpy call whose output overlaps its input, so that numpy
-    takes its element-by-element loop, which calls libm's exp as math.exp
-    does. Plain np.exp runs a SIMD loop on CPUs with AVX-512 and differs
-    from math.exp in the last bit on about 4.7 % of the sweep arguments.
+    An array of any shape takes one np.exp call whose output overlaps its input,
+    which makes numpy call libm's exp, not its AVX-512 loop that differs at times.
+    """
+    if not isinstance(x, np.ndarray):
+        return math.exp(x)
+    buf = np.concatenate(([0.0], x.ravel(), [0.0]))
+    # Partial overlap, even for one element: numpy skips its SIMD loop and
+    # calls libm's exp. Do not make this a plain np.exp, which changes bits.
+    np.exp(buf[1:], out=buf[:-1])
+    return buf[:-2].reshape(x.shape)
+
+
+def _not_orphaned(tx_size: float | np.ndarray, params: BlockchainParams) -> float | np.ndarray:
+    """exp(-xi s / lam), the chance a block of size s, finite and >= 0, is not orphaned.
+
+    An array of sizes, of any shape, gives each one's scalar result bit for bit (_exp).
     """
     if isinstance(tx_size, np.ndarray):
         in_bounds = (0.0 <= tx_size) & (tx_size < math.inf)
@@ -196,15 +206,7 @@ def _not_orphaned(tx_size: float | np.ndarray, params: BlockchainParams) -> floa
             raise _invalid("tx_size", float(tx_size[~in_bounds].flat[0]), ">= 0")
     elif not 0.0 <= tx_size < math.inf:
         raise _invalid("tx_size", tx_size, ">= 0")
-    exponent = -(params.propagation_coeff * tx_size) / params.mean_block_interval
-    if isinstance(exponent, np.ndarray):
-        buf = np.empty(exponent.size + 1)
-        buf[1:] = exponent.ravel()
-        # Partial overlap: numpy skips its SIMD loop and calls libm's exp.
-        # Do not turn this into a plain np.exp, which changes the bits.
-        np.exp(buf[1:], out=buf[:-1])
-        return buf[:-1].reshape(exponent.shape)
-    return math.exp(exponent)
+    return _exp(-(params.propagation_coeff * tx_size) / params.mean_block_interval)
 
 
 def orphan_probability(tx_size: float, params: BlockchainParams) -> float:
@@ -224,17 +226,15 @@ def block_win_probability(
 def network_effect(
     total_allocated: float | np.ndarray, params: NetworkEffectParams
 ) -> float | np.ndarray:
-    """S-shaped demand-side network effect of the total allocated quantity.
+    """S-shaped demand-side network effect of the total allocated quantity q >= 0.
 
-    Equals 0 at q = 0, strictly increases, and saturates at 1. A float goes
-    through math.exp and an array through np.exp, so the scalar callers and
-    the array kernels each keep their bits (the two differ in the last bit
-    on some arguments).
+    Equals 0 at q = 0, strictly increases, and saturates at 1. An array of q
+    gives each one's scalar result bit for bit, since both take libm's exp (_exp).
     """
     is_array = isinstance(total_allocated, np.ndarray)
-    if (total_allocated < 0).any() if is_array else total_allocated < 0:
+    if not ((total_allocated >= 0).all() if is_array else total_allocated >= 0):
         raise ValueError("total_allocated must be >= 0")
-    u = (np.exp if is_array else math.exp)(-params.nu * total_allocated)
+    u = _exp(-params.nu * total_allocated)
     return (1.0 - u) / (1.0 + params.mu * u)
 
 

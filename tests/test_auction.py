@@ -81,7 +81,7 @@ def _reference_clearing(roster, config):
 
     limit = min(n, capacity)
     kk = np.arange(1, limit + 1, dtype=float)
-    u = np.exp(-config.network.nu * kk)
+    u = np.array([math.exp(-config.network.nu * k) for k in kk.tolist()])
     w = (1.0 - u) / (1.0 + config.network.mu * u)
     welfare_by_k = (w / kk) * prefix[1 : limit + 1] - cost * kk
     m = _first_best_prefix(welfare_by_k.tolist())
@@ -92,7 +92,7 @@ def _reference_clearing(roster, config):
     if m > 0:
         limit2 = min(n - 1, capacity)
         kk = np.arange(1, limit2 + 1)
-        u = np.exp(-config.network.nu * kk.astype(float))
+        u = np.array([math.exp(-config.network.nu * k) for k in kk.tolist()])
         w_by_k = (1.0 - u) / (1.0 + config.network.mu * u)
         sum_winners = float(prefix[m])
         q = m - 1

@@ -264,9 +264,9 @@ class TestAuctionRun:
         assert out.read_text() == (
             '{\n  "ids": [\n    4,\n    9,\n    2\n  ],\n'
             '  "allocation": [\n    1,\n    1,\n    0\n  ],\n'
-            '  "payments": [\n    0.0006555048709919499,\n    0.000658296470076457,\n    0.0\n  ],\n'
+            '  "payments": [\n    0.0006555048709918181,\n    0.0006582964700763633,\n    0.0\n  ],\n'
             '  "winners": [\n    9,\n    4\n  ],\n'
-            '  "welfare": 0.014638796682454746\n}\n'
+            '  "welfare": 0.014638796682454559\n}\n'
         )
 
     @pytest.mark.parametrize("bids, ids, market", [

@@ -1,9 +1,13 @@
 """Unit tests for the sweep harness: seeding, aggregation, serialization."""
 
+import filecmp
 import hashlib
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -496,9 +500,11 @@ def test_bonus_sweep_sums_left_to_right_whatever_the_interpreter(
         assert actual == digest, f"{name} changed: sha256 {actual}"
 
 
+_RUN_SWEEPS = Path(__file__).resolve().parent.parent / "scripts" / "run_sweeps.py"
+
+
 def _load_run_sweeps():
-    script = Path(__file__).resolve().parent.parent / "scripts" / "run_sweeps.py"
-    loader = importlib.util.spec_from_file_location("run_sweeps", script)
+    loader = importlib.util.spec_from_file_location("run_sweeps", _RUN_SWEEPS)
     run_sweeps = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(run_sweeps)
     return run_sweeps
@@ -534,3 +540,36 @@ def test_run_sweeps_script_reports_a_refused_setting_as_one_error_line(
     assert _load_run_sweeps().main(["--out-dir", str(out_dir), *args]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out_dir.exists()
+
+
+def _simd_dispatch_targets() -> list[str]:
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:
+        return []
+    return list(__cpu_dispatch__)
+
+
+def test_run_sweeps_writes_the_same_files_whatever_simd_loops_numpy_dispatches(tmp_path):
+    # numpy picks its exp loop by CPU, an AVX-512 one where it can; with every
+    # dispatch target switched off it runs its baseline loops, as on a CPU
+    # without them. The allocating files at 100 instances per grid value
+    # must not tell the two apart.
+    targets = _simd_dispatch_targets()
+    if not targets:
+        pytest.skip("this numpy reports no SIMD dispatch targets")
+    src = Path(experiments.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    dispatched, baseline = tmp_path / "dispatched", tmp_path / "baseline"
+    for out_dir, extra in ((dispatched, {}), (baseline, {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)})):
+        subprocess.run(
+            [sys.executable, str(_RUN_SWEEPS), "--out-dir", str(out_dir),
+             "--instances", "100", "--seed", "0", "--unit-cost", "0.001"],
+            check=True, capture_output=True, timeout=60, env=dict(env, **extra),
+        )
+    names = sorted(p.name for p in dispatched.iterdir())
+    assert len(names) == 12
+    assert names == sorted(p.name for p in baseline.iterdir())
+    _, differ, errors = filecmp.cmpfiles(dispatched, baseline, names, shallow=False)
+    assert (differ, errors) == ([], [])

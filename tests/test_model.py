@@ -180,10 +180,13 @@ class TestValidation:
             hash_power([1.0, 2.0], [1, 2], 1.2)
         with pytest.raises(ValueError):
             hash_power([1.0], [1, 0], 1.2)
-        with pytest.raises(ValueError):
-            hash_power([1.0, -2.0], [1, 1], 1.2)
-        with pytest.raises(ValueError):
-            hash_power([1.0, 2.0], [1, 1], 0.0)
+        # NaN fails every comparison, so it is refused as a demand <= 0 would be
+        for demands in ([1.0, -2.0], [1.0, math.nan], np.array([math.nan, 2.0])):
+            with pytest.raises(ValueError, match="demands must be > 0"):
+                hash_power(demands, [1, 1], 1.2)
+        for alpha in (0.0, math.nan):
+            with pytest.raises(ValueError, match="alpha must be > 0"):
+                hash_power([1.0, 2.0], [1, 1], alpha)
 
     def test_block_win_probability_rejects_gamma_outside_unit_interval(self):
         with pytest.raises(ValueError):
@@ -243,19 +246,25 @@ def test_network_effect_strictly_increases(q, gap, mu, nu):
 def test_network_effect_boundaries():
     assert network_effect(0.0, DEFAULT_NETWORK) == 0.0
     assert network_effect(1e7, DEFAULT_NETWORK) == pytest.approx(1.0, abs=1e-12)
-    # An array goes through np.exp, as the clearing kernel and the exhaustive
-    # oracle evaluate it; a float keeps math.exp.
     mu, nu = DEFAULT_NETWORK.mu, DEFAULT_NETWORK.nu
-    q = np.array([0.0, 1.0, 2.0, 3.0, 200.0, 7486.0, 1e7])
-    u = np.exp(-nu * q)
-    assert network_effect(q, DEFAULT_NETWORK).tobytes() == ((1.0 - u) / (1.0 + mu * u)).tobytes()
-    for x in q.tolist():
+    for x in (0.0, 1.0, 2.0, 3.0, 200.0, 7486.0, 1e7):
         v = math.exp(-nu * x)
         got = network_effect(x, DEFAULT_NETWORK)
         assert type(got) is float and got == (1.0 - v) / (1.0 + mu * v)
-    for negative in (-1.0, np.array([3.0, 0.0, -1e-300])):
+    for bad in (-1.0, math.nan, np.array([3.0, 0.0, -1e-300]), np.array([3.0, math.nan])):
         with pytest.raises(ValueError, match="total_allocated must be >= 0"):
-            network_effect(negative, DEFAULT_NETWORK)
+            network_effect(bad, DEFAULT_NETWORK)
+
+
+def test_network_effect_of_an_array_gives_the_scalar_calls_bit_for_bit():
+    # The clearing kernel reads w(k) for k = 1..limit as one array; plain
+    # np.exp on an AVX-512 CPU would differ at 20 of these k (_NETWORK_EFFECT_BITS).
+    k = np.arange(1.0, 1001.0)
+    array = network_effect(k, DEFAULT_NETWORK)
+    scalar = np.array([network_effect(x, DEFAULT_NETWORK) for x in k.tolist()])
+    assert array.tobytes() == scalar.tobytes(), (
+        f"w(k) differs at k = {k[array != scalar].astype(int).tolist()}"
+    )
 
 
 @given(
@@ -379,8 +388,49 @@ def test_libm_exp_gives_the_recorded_bits_at_sweep_exponents(interval):
     params = dataclasses.replace(DEFAULT_BLOCKCHAIN, mean_block_interval=interval)
     scalar = [math.exp(-(params.propagation_coeff * s) / interval).hex() for s in sizes]
     array = [x.hex() for x in model._not_orphaned(np.array(sizes), params).tolist()]
+    # An array of one element does not overlap its output by itself.
+    alone = [model._not_orphaned(np.array([s]), params)[0].hex() for s in sizes]
     assert scalar == list(bits), "math.exp: this libm differs from the recorded bits"
     assert array == list(bits), "the array path differs from the recorded libm bits"
+    assert alone == list(bits), "the array path differs from the recorded bits on one size"
+
+
+# w(k) under the default network, as float.hex, at the k = 1..1000 where
+# numpy's AVX-512 exp gives e^(-nu k) a different last bit from libm's.
+_NETWORK_EFFECT_BITS = (
+    (2, "0x1.b42d1309d2e51p-8"),
+    (9, "0x1.e7c783262bb0ap-6"),
+    (14, "0x1.79bb736074525p-5"),
+    (25, "0x1.4df106ee703bap-4"),
+    (48, "0x1.39a17b11280a1p-3"),
+    (88, "0x1.13b84a2d40509p-2"),
+    (104, "0x1.40114d0ab365ap-2"),
+    (127, "0x1.7c853a62267acp-2"),
+    (158, "0x1.c7d36a188f697p-2"),
+    (170, "0x1.e316716d4bac2p-2"),
+    (192, "0x1.093075a4ff8fap-1"),
+    (196, "0x1.0d4de5014a669p-1"),
+    (201, "0x1.125e924dd3640p-1"),
+    (218, "0x1.22f256318fa9ap-1"),
+    (222, "0x1.26b45d58fedc0p-1"),
+    (240, "0x1.36f58330abaadp-1"),
+    (329, "0x1.78d0119cf2bf7p-1"),
+    (334, "0x1.7bdd08cffac09p-1"),
+    (376, "0x1.931e329cf0722p-1"),
+    (586, "0x1.d80eb7100b8e4p-1"),
+)
+
+
+def test_network_effect_gives_the_recorded_bits_where_simd_exp_differs():
+    # A canary for the digest and outcome tests: if they fail on another
+    # machine and this fails too, its libm or the w formula is the cause.
+    k, bits = zip(*_NETWORK_EFFECT_BITS)
+    scalar = [network_effect(float(x), DEFAULT_NETWORK).hex() for x in k]
+    array = [x.hex() for x in network_effect(np.array(k, dtype=float), DEFAULT_NETWORK).tolist()]
+    alone = [network_effect(np.array([float(x)]), DEFAULT_NETWORK)[0].hex() for x in k]
+    assert scalar == list(bits), "the scalar w(k) differs from the recorded bits"
+    assert array == list(bits), "the array w(k) differs from the recorded bits"
+    assert alone == list(bits), "w(k) on an array of one k differs from the recorded bits"
 
 
 def test_ex_ante_valuation_refuses_a_negative_size():
