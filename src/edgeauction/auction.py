@@ -37,6 +37,9 @@ from .model import (
     BidderProfile,
     MarketConfig,
     NetworkEffectParams,
+    _hash_weights,
+    _sum,
+    _unheld_powers,
     network_effect,
 )
 
@@ -262,7 +265,8 @@ def _cell_max(bids: np.ndarray, lines: tuple, held=None) -> np.ndarray:
     return best
 
 
-# Run, as _clear is, under _clear_rows's silenced overflow and invalid values.
+# Run, as _clear is, under _clear_rows's silenced overflow and invalid values,
+# and only where some row has a winner.
 def _counterfactual_welfare(cleared: _Clearing, config: AuctionConfig) -> np.ndarray:
     """Welfare selection reaches with each winner removed: (R, max m), by rank.
 
@@ -300,7 +304,7 @@ def _counterfactual_welfare(cleared: _Clearing, config: AuctionConfig) -> np.nda
     rows, n = cleared.sorted_bids.shape
     limit2 = min(n - 1, config.market.capacity)
     most = int(cleared.m.max(initial=0))
-    if limit2 < 1 or not most:
+    if limit2 < 1:
         return np.zeros((rows, most))  # no column: every value is 0
     m, bids, prefix = cleared.m, cleared.sorted_bids, cleared.prefix
     welfare_by_k = cleared.welfare_by_k
@@ -633,7 +637,10 @@ def oracle_exhaustive(
     ids = _roster_ids([p.id for p in roster])
     demands = np.array([p.demand for p in roster], dtype=float)
     bids = np.array([p.bid for p in roster], dtype=float)
-    weights = demands ** config.market.hash_exponent
+    weights = _hash_weights(demands, np.ones(n), config.market.hash_exponent)
+    # The sum of every weight, added in order as the loop below adds it, is the largest.
+    if not _sum(weights.tolist()) < math.inf:
+        raise _unheld_powers(config.market.hash_exponent, "the sum of the powers overflows")
 
     size = 1 << n
     demand_sum = np.zeros(size)

@@ -19,7 +19,6 @@ import sys
 from dataclasses import fields
 from operator import itemgetter
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
@@ -272,76 +271,42 @@ def _load_roster(path: str) -> RosterColumns:
     return _read_columns(path, _load_json(path))
 
 
-# Between the items of a list one level inside the outcome object, as indent=2 writes them.
-_ITEM_SEPARATORS = (",\n    ", ": ")
+def _ints_text(name: str, values: tuple[int, ...]) -> str:
+    """A list of ints one level inside the outcome object, as json.dumps(indent=2) writes it.
 
-# The outcome's lists of ints, as its annotations declare them. orjson
-# writes an int of 64 bits or fewer as json does, several times as fast,
-# and raises on a longer one; it writes floats otherwise (0.00001 for
-# 1e-05, 1e16 for 1e+16), so payments and welfare stay with json.
-_INT_LISTS = frozenset(
-    name for name, hint in get_type_hints(AuctionOutcome).items() if hint == tuple[int, ...]
-)
-
-
-def _items_text(name: str, values: tuple) -> str:
-    """The items of a list, laid out as json.dumps writes them with _ITEM_SEPARATORS."""
-    if name in _INT_LISTS:
-        import orjson  # here, as in _orjson_reading
-
-        try:
-            # '{\n  "<name>": [\n    ' + the items + '\n  ]\n}', as json's indent=2
-            text = orjson.dumps({name: values}, option=orjson.OPT_INDENT_2)
-        except orjson.JSONEncodeError:  # an int past 64 bits
-            pass
-        else:
-            return text[text.index(b"[") + 6 : -6].decode()
-    elif set(map(type, values)) == {float}:
-        return _floats_text(values)
-    return json.dumps(values, separators=_ITEM_SEPARATORS)[1:-1]
-
-
-def _floats_text(values: tuple) -> str:
-    """_items_text for a list of floats: "0.0" for each +0.0, json.dumps for the others.
-
-    json's C encoder writes a float with float.__repr__, which is "0.0" for
-    +0.0; -0.0, NaN and the infinities are among the others. This saves
-    time where the zeros are most of the list, as in the payments of a
-    market with few winners. Splitting the others' text back into items
-    costs more than the zeros save once the others pass about a third, so
-    past a quarter json.dumps writes the whole list, as in the payments of
-    a market that admits most bidders.
+    orjson writes an int of 64 bits or fewer as json does, several times as
+    fast, and raises on a longer one, which json writes instead.
     """
-    floats = np.fromiter(values, float, len(values))
-    others = np.flatnonzero((floats != 0.0) | np.signbit(floats))
-    if 4 * others.size > len(values):
-        return json.dumps(values, separators=_ITEM_SEPARATORS)[1:-1]
-    others = others.tolist()
-    items = ["0.0"] * len(values)
-    texts = json.dumps([values[i] for i in others], separators=_ITEM_SEPARATORS)[1:-1]
-    for i, text in zip(others, texts.split(_ITEM_SEPARATORS[0])):
-        items[i] = text
-    return _ITEM_SEPARATORS[0].join(items)
+    if not values:
+        return "[]"
+    import orjson  # here, as in _orjson_reading
+
+    try:
+        text = orjson.dumps({name: values}, option=orjson.OPT_INDENT_2)
+    except orjson.JSONEncodeError:  # an int past 64 bits
+        return "[\n    " + json.dumps(values, separators=(",\n    ", ": "))[1:-1] + "\n  ]"
+    return text[text.index(b"[") : -2].decode()  # orjson wrote '{\n  "<name>": [...]\n}'
 
 
 def _outcome_json(outcome: AuctionOutcome) -> str:
     """The outcome file: the bytes json.dumps(payload, indent=2) writes, and a newline.
 
-    json skips its C encoder whenever indent is set. Every field is a flat
-    list of numbers or one float, so the object is laid out here and each
-    list's items are written by _items_text, the float by json.dumps.
+    json skips its C encoder whenever indent is set, so the five fields are
+    laid out here. Every payment clear_bids returns is +0.0 or a positive
+    finite float, which json writes with float.__repr__ as this does; a
+    -0.0, NaN, infinity or int payment would not be written as json writes it.
     """
-    lines = []
-    for f in fields(outcome):
-        value = getattr(outcome, f.name)
-        if not isinstance(value, tuple):
-            text = json.dumps(value)
-        elif value:
-            text = "[\n    " + _items_text(f.name, value) + "\n  ]"
-        else:
-            text = "[]"
-        lines.append(f"  {json.dumps(f.name)}: {text}")
-    return "{\n" + ",\n".join(lines) + "\n}\n"
+    payments = "[]"
+    if outcome.payments:
+        items = ",\n    ".join([float.__repr__(p) if p else "0.0" for p in outcome.payments])
+        payments = "[\n    " + items + "\n  ]"
+    return (
+        f'{{\n  "ids": {_ints_text("ids", outcome.ids)},\n'
+        f'  "allocation": {_ints_text("allocation", outcome.allocation)},\n'
+        f'  "payments": {payments},\n'
+        f'  "winners": {_ints_text("winners", outcome.winners)},\n'
+        f'  "welfare": {json.dumps(outcome.welfare)}\n}}\n'
+    )
 
 
 def _cmd_auction_run(args: argparse.Namespace) -> int:

@@ -164,20 +164,47 @@ def hash_power(
 
     gamma_i = d_i^alpha x_i / sum_j d_j^alpha x_j. Shares of served miners
     sum to one; unserved miners get exactly 0. Raises if nobody is served,
-    because the race has no participants then.
+    because the race has no participants then, and where floats cannot
+    hold the shares (_hash_weights).
     """
     _check_allocation(demands, allocation)
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
+    if not alpha < math.inf:
+        raise _invalid("alpha", alpha, "> 0")
     d = np.asarray(demands, dtype=float)
     if not (d > 0).all():
         raise ValueError("demands must be > 0")
-    x = np.asarray(allocation, dtype=float)
-    weights = d**alpha * x
-    total = float(weights.sum())
+    if not (d < math.inf).all():
+        raise _invalid("demands", math.inf, "> 0")
+    weights = _hash_weights(d, np.asarray(allocation, dtype=float), alpha)
+    with np.errstate(over="ignore"):
+        total = float(weights.sum())
     if total <= 0.0:
         raise ValueError("no allocated miners: hash power is undefined")
+    if not total < math.inf:
+        raise _unheld_powers(alpha, "the sum of the powers overflows")
     return weights / total
+
+
+def _hash_weights(demands: np.ndarray, served: np.ndarray, alpha: float) -> np.ndarray:
+    """d_i^alpha x_i of each miner, refusing a power past the float range or a served one at 0.
+
+    A served power at 0 would win no share, or leave none defined; the
+    caller refuses a sum of the powers past the float range.
+    """
+    with np.errstate(over="ignore"):
+        powers = demands**alpha
+    if not (powers < math.inf).all():
+        raise _unheld_powers(alpha, "a power overflows")
+    weights = powers * served
+    if (weights[served != 0] == 0.0).any():
+        raise _unheld_powers(alpha, "a power underflows to 0")
+    return weights
+
+
+def _unheld_powers(alpha: float, reason: str) -> ValueError:
+    return ValueError(f"hash power cannot be evaluated at alpha {alpha!r}: {reason}")
 
 
 def _exp(x: float | np.ndarray) -> float | np.ndarray:

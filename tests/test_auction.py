@@ -380,6 +380,9 @@ class TestRunAuction:
         payments, welfare, _, _ = _reference_clearing(roster, config)
         assert outcome.payments == payments
         assert outcome.welfare == welfare
+        # every payment +0.0 or positive and finite, as the outcome writer needs
+        paid = np.array(outcome.payments)
+        assert np.isfinite(paid).all() and not np.signbit(paid).any()
         winners = select_winners_greedy(bids, config)
         _, best = oracle_topk(bids, config)
         magnitude = sum(bids) + config.market.unit_cost * len(bids)
@@ -620,6 +623,8 @@ class TestClearBids:
         assert winners.tolist() == rank[:m]
         # bit for bit: -0.0 and 0.0 differ here
         assert got_payments.tobytes() == np.array(payments).tobytes()
+        # no -0.0 bid is paid as -0.0, as the outcome writer needs
+        assert np.isfinite(got_payments).all() and not np.signbit(got_payments).any()
         assert np.float64(got_welfare).tobytes() == np.float64(welfare).tobytes()
 
     def test_cached_curve_is_read_only(self):
@@ -979,6 +984,16 @@ class TestOracles:
         assert allocation == tuple(
             1 if best_mask >> i & 1 else 0 for i in range(2)
         )
+        # demands whose powers, or the sum of them, floats cannot hold
+        for demands, alpha, reason in [
+            ([1e300], 1.2, "a power overflows"),
+            ([1e308, 1e308], 1.0, "the sum of the powers overflows"),
+            ([1e-300, 1e-300], 1.2, "a power underflows to 0"),
+        ]:
+            roster = [BidderProfile(id=i, tx_size=0.0, demand=d, bid=1.0) for i, d in enumerate(demands)]
+            market = replace(config.market, hash_exponent=alpha)
+            with pytest.raises(ValueError, match=f"at alpha {alpha!r}: {reason}"):
+                oracle_exhaustive(roster, AuctionConfig(market=market, network=config.network))
 
     def test_exhaustive_respects_capacity(self):
         config = _config(unit_cost=1e-9, capacity=2)

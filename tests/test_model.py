@@ -187,6 +187,21 @@ class TestValidation:
         for alpha in (0.0, math.nan):
             with pytest.raises(ValueError, match="alpha must be > 0"):
                 hash_power([1.0, 2.0], [1, 1], alpha)
+        with pytest.raises(ValueError, match="demands must be finite"):
+            hash_power([1.0, math.inf], [1, 1], 1.2)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            hash_power([1.0, 2.0], [1, 1], math.inf)
+        # powers that floats cannot hold, served or not; a served one at 0
+        # would win no share, and two would leave none defined
+        for demands, allocation, alpha, reason in [
+            ([1e300, 1.0], [1, 1], 1.2, "a power overflows"),
+            ([1e300, 1.0], [0, 1], 1.2, "a power overflows"),
+            ([1e308, 1e308], [1, 1], 1.0, "the sum of the powers overflows"),
+            ([1e-300, 1e-300], [1, 1], 1.2, "a power underflows to 0"),
+            ([1e-300, 1.0], [1, 1], 1.2, "a power underflows to 0"),
+        ]:
+            with pytest.raises(ValueError, match=f"at alpha {alpha!r}: {reason}"):
+                hash_power(demands, allocation, alpha)
 
     def test_block_win_probability_rejects_gamma_outside_unit_interval(self):
         with pytest.raises(ValueError):
