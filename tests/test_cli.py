@@ -16,7 +16,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from edgeauction import cli
-from edgeauction.auction import AuctionConfig, AuctionOutcome, run_auction
+from edgeauction.auction import AuctionConfig, AuctionOutcome, clear_roster, run_auction
 from edgeauction.cli import main
 
 GOOD_CONFIG = {
@@ -336,6 +336,29 @@ class TestAuctionRun:
         outcome = AuctionOutcome(tuple(ids), tuple(allocation), tuple(payments), tuple(winners), welfare)
         payload = {f.name: getattr(outcome, f.name) for f in fields(outcome)}
         assert cli._outcome_json(outcome) == json.dumps(payload, indent=2) + "\n"
+
+    def test_orjson_writes_every_int_list_of_a_cleared_outcome(self, monkeypatch):
+        # the writer's bytes hold without orjson, so only this notices an
+        # int list that the explicit layout writes by another path
+        import orjson
+
+        _, network, market = cli._build_parts(GOOD_CONFIG, 3)
+        outcome = clear_roster((4, 9, 2), (1.0, 1.0, 1.0), (5.0, 3.0, 4.0),
+                               AuctionConfig(market=market, network=network))
+        int_lists = {f.name for f in fields(outcome)
+                     if isinstance(getattr(outcome, f.name), tuple)
+                     and all(type(v) is int for v in getattr(outcome, f.name))}
+        written = []
+        dumps = orjson.dumps
+
+        def recording_dumps(obj, *args, **kwargs):
+            written.extend(obj)
+            return dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(orjson, "dumps", recording_dumps)
+        payload = {f.name: getattr(outcome, f.name) for f in fields(outcome)}
+        assert cli._outcome_json(outcome) == json.dumps(payload, indent=2) + "\n"
+        assert outcome.winners and sorted(written) == sorted(int_lists)
 
     @pytest.mark.parametrize("entries, message", [
         # the first bad entry is reported, whatever follows it
