@@ -24,7 +24,8 @@ run was correct, in how many pairs the change was better, and the bound
 check of each metric. --claim adds the gain rule: the change better in at
 least nine of every ten pairs, and the difference of the medians larger
 than the parent's interquartile range. --tier1 N adds N alternating runs of
-the Tier-1 suite in each tree, with pytest's own time.
+the Tier-1 suite in each tree, with pytest's own time and its five slowest
+tests.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 PAIRS = 10
 TIER1_COMMAND = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                 "--continue-on-collection-errors"]
+                 "--continue-on-collection-errors", "--durations=5"]
 
 
 def _git(*args: str) -> str:
@@ -78,14 +79,20 @@ def _run_benchmark(tree: Path, workload: str, seed: int, seconds: float) -> dict
     return json.loads(lines[-1])
 
 
-def _run_tier1(tree: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    done = subprocess.run(TIER1_COMMAND, cwd=tree, env=env, capture_output=True, text=True)
-    summary = done.stdout.strip().splitlines()[-1]
+def tier1_result(stdout: str) -> dict:
+    """A Tier-1 run as pytest's stdout reports it: the counts, its own time and the slowest tests."""
+    summary = stdout.strip().splitlines()[-1]
     counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|failed|error)", summary)}
     seconds = re.search(r"in ([\d.]+)s", summary)
+    slowest = re.findall(r"^([\d.]+)s (?:setup|call|teardown) +(\S+)$", stdout, re.MULTILINE)
     return {"passed": counts.get("passed", 0), "failed": counts.get("failed", 0) + counts.get("error", 0),
-            "seconds": float(seconds.group(1)) if seconds else None}
+            "seconds": float(seconds.group(1)) if seconds else None,
+            "slowest": [{"test": test, "seconds": float(s)} for s, test in slowest]}
+
+
+def _run_tier1(tree: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    return tier1_result(subprocess.run(TIER1_COMMAND, cwd=tree, env=env, capture_output=True, text=True).stdout)
 
 
 def _quartiles(values: list[float]) -> dict:

@@ -38,7 +38,6 @@ from .model import (
     MarketConfig,
     NetworkEffectParams,
     _hash_weights,
-    _sum,
     _unheld_powers,
     network_effect,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "vcg_payment",
     "run_auction",
     "RosterColumns",
-    "clear_roster",
     "clear_bids",
     "oracle_topk",
     "oracle_exhaustive",
@@ -129,7 +127,9 @@ def welfare_of_set(bids_in_w: Iterable[float], config: AuctionConfig) -> float:
     Returns exactly 0.0 for the empty set.
     """
     values = _validate_bids(list(bids_in_w)).tolist()
-    return _welfare(len(values), sum(values), config)
+    if not (total := sum(values)) < math.inf:
+        raise ValueError("bids overflow: their sum is not finite")
+    return _welfare(len(values), total, config)
 
 
 class _Clearing(NamedTuple):
@@ -504,7 +504,7 @@ def _clear_rows(
 def clear_bids(bids: np.ndarray, config: AuctionConfig) -> tuple[float, np.ndarray, np.ndarray]:
     """Clear one bid vector: welfare, winner positions and every payment.
 
-    The array core under clear_roster: the batch kernel on one row. Winner
+    The array core under run_auction: the batch kernel on one row. Winner
     positions index the bids in admission order; payments are aligned with
     the bids, losers paying 0. Bids must be a one-dimensional vector of
     values that are finite and >= 0, and their sum must not overflow.
@@ -523,15 +523,23 @@ def clear_bids(bids: np.ndarray, config: AuctionConfig) -> tuple[float, np.ndarr
 class RosterColumns:
     """A roster held as columns: ids, tx sizes, demands and bids in submission order.
 
-    run_auction clears it through clear_roster without a BidderProfile per
-    bidder. It still reads as the roster it holds: its length is the number
-    of bidders, and iterating it builds each bidder's profile in turn.
+    run_auction clears it without a BidderProfile per bidder. It still
+    reads as the roster it holds: its length is the number of bidders, and
+    iterating it builds each bidder's profile in turn.
     """
 
     ids: Sequence[int]
     tx_sizes: Sequence[float] | np.ndarray
     demands: Sequence[float] | np.ndarray
     bids: Sequence[float] | np.ndarray
+
+    def __post_init__(self) -> None:
+        lengths = tuple(map(len, (self.ids, self.tx_sizes, self.demands, self.bids)))
+        if len(set(lengths)) > 1:
+            raise ValueError(
+                "ids, tx_sizes, demands and bids must have the same length, got %d, %d, %d and %d"
+                % lengths
+            )
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -541,25 +549,21 @@ class RosterColumns:
         return map(BidderProfile, self.ids, *numbers)
 
 
-def clear_roster(
-    ids: Sequence[int],
-    demands: Sequence[float] | np.ndarray,
-    bids: Sequence[float] | np.ndarray,
-    config: AuctionConfig,
+def run_auction(
+    roster: Sequence[BidderProfile] | RosterColumns, config: AuctionConfig
 ) -> AuctionOutcome:
-    """Clear one auction given as columns: ids, demands and bids in submission order.
+    """Clear one auction: clear_bids on the roster's bids, reported by bidder id.
 
-    The roster edge of clear_bids: it refuses repeated ids and non-unit
-    demands, for which the rules are not defined, and reports by bidder id
-    and by the demand as given (an element of a float array prints as a
-    float does).
+    A RosterColumns already holds the columns, so no profile is built for
+    it. Refuses repeated ids and non-unit demands, for which the rules are
+    not defined, and reports by bidder id and by the demand as given (an
+    element of a float array prints as a float does).
     """
-    ids = _roster_ids(ids)
-    if not len(ids) == len(demands) == len(bids):
-        raise ValueError(
-            f"ids, demands and bids must have the same length, "
-            f"got {len(ids)}, {len(demands)} and {len(bids)}"
-        )
+    if isinstance(roster, RosterColumns):
+        ids, demands, bids = _roster_ids(roster.ids), roster.demands, roster.bids
+    else:
+        ids = _roster_ids(p.id for p in roster)
+        demands, bids = [p.demand for p in roster], [p.bid for p in roster]
     non_unit = np.flatnonzero(np.asarray(demands, dtype=float) != 1.0)
     if non_unit.size:
         i = int(non_unit[0])
@@ -575,20 +579,6 @@ def clear_roster(
         payments=tuple(payments.tolist()),
         winners=tuple(ids[i] for i in winner_positions.tolist()),
         welfare=welfare,
-    )
-
-
-def run_auction(
-    roster: Sequence[BidderProfile] | RosterColumns, config: AuctionConfig
-) -> AuctionOutcome:
-    """Clear one auction of bidder profiles: clear_roster on the roster's columns.
-
-    A RosterColumns already holds them, so no profile is built for it.
-    """
-    if isinstance(roster, RosterColumns):
-        return clear_roster(roster.ids, roster.demands, roster.bids, config)
-    return clear_roster(
-        [p.id for p in roster], [p.demand for p in roster], [p.bid for p in roster], config
     )
 
 
@@ -638,19 +628,22 @@ def oracle_exhaustive(
     demands = np.array([p.demand for p in roster], dtype=float)
     bids = np.array([p.bid for p in roster], dtype=float)
     weights = _hash_weights(demands, np.ones(n), config.market.hash_exponent)
-    # The sum of every weight, added in order as the loop below adds it, is the largest.
-    if not _sum(weights.tolist()) < math.inf:
-        raise _unheld_powers(config.market.hash_exponent, "the sum of the powers overflows")
 
     size = 1 << n
     demand_sum = np.zeros(size)
     weight_sum = np.zeros(size)
     value_sum = np.zeros(size)
-    for i in range(n):
-        lo = 1 << i
-        demand_sum[lo : 2 * lo] = demand_sum[:lo] + demands[i]
-        weight_sum[lo : 2 * lo] = weight_sum[:lo] + weights[i]
-        value_sum[lo : 2 * lo] = value_sum[:lo] + weights[i] * bids[i]
+    with np.errstate(over="ignore"):
+        for i in range(n):
+            lo = 1 << i
+            demand_sum[lo : 2 * lo] = demand_sum[:lo] + demands[i]
+            weight_sum[lo : 2 * lo] = weight_sum[:lo] + weights[i]
+            value_sum[lo : 2 * lo] = value_sum[:lo] + weights[i] * bids[i]
+    # Each sum over the full set, of terms >= 0 added in order, is the largest of its kind.
+    if not weight_sum[-1] < math.inf:
+        raise _unheld_powers(config.market.hash_exponent, "the sum of the powers overflows")
+    if not value_sum[-1] < math.inf:
+        raise ValueError("bids overflow: their sum is not finite")
 
     w = network_effect(demand_sum, config.network)
     with np.errstate(invalid="ignore", divide="ignore"):

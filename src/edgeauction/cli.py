@@ -74,35 +74,28 @@ def _load_json(path: str) -> object:
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
 
 
-# Every byte but those that make a document's nesting: the quote and the
-# four brackets.
-_NOT_NESTING = bytes(sorted(set(range(256)) - set(b'"[]{}')))
-_NESTING_PASSES = 16
+# Every byte but the quote and the four brackets.
+_NOT_MARKS = bytes(sorted(set(range(256)) - set(b'"[]{}')))
 
 
-def _nests_shallowly(raw: bytes) -> bool:
-    """Whether a JSON document nests at most 2 * _NESTING_PASSES levels, read from its bytes.
+def _bids_shaped(raw: bytes) -> bool:
+    """Whether a JSON document's brackets are a bids file's, [{}...{}], none of them in a string.
 
     orjson recurses once per level with no limit of its own, and a stack
-    overflow ends the process (about 140,000 levels of arrays on an 8 MB
-    stack); json raises RecursionError instead. A document with a backslash
-    is not read. Of the others only quotes and brackets are kept. Each
-    string is then two quotes around the brackets it holds, so if every
-    quote is in an adjacent pair (count, like replace, finds its pairs
-    left to right without overlap), no string holds a bracket and the
-    brackets left are the document's nesting. Each pass drops every
-    innermost pair, one or two levels, so a document _NESTING_PASSES levels
-    deep passes and one left with brackets after the passes may be deeper.
+    overflow ends the process; json raises RecursionError instead. Such a
+    document nests two levels at most, which its brackets alone would not
+    show: brackets in strings can complete the shape around objects nested
+    to any depth. Once escaped backslashes, then escaped quotes, are dropped,
+    each quote opens or closes a string, and no string holds a bracket if
+    every quote is in an adjacent pair (count pairs them left to right).
     """
-    if b"\\" in raw:  # one memchr, before the translate copies the marks out
-        return False
-    marks = raw.translate(None, _NOT_NESTING)
+    if b"\\" in raw:  # one memchr; each replace scans the document even if it drops nothing
+        raw = raw.replace(b"\\\\", b"").replace(b'\\"', b"")
+    marks = raw.translate(None, _NOT_MARKS)
     if marks.count(b'"') != 2 * marks.count(b'""'):
         return False
-    nesting = marks.translate(None, b'"')
-    for _ in range(_NESTING_PASSES):
-        nesting = nesting.replace(b"{}", b"").replace(b"[]", b"")
-    return not nesting
+    brackets = marks.translate(None, b'"')
+    return brackets == b"[" + b"{}" * (len(brackets) // 2 - 1) + b"]"
 
 
 class _ReadingsDiffer(Exception):
@@ -113,8 +106,7 @@ def _orjson_reading(path: str) -> object:
     """The JSON value in a bids file as orjson reads it.
 
     Raises _ReadingsDiffer where orjson's reading could differ from json.load's:
-    - a document that may nest deeply, holds a backslash, or a bracket in a
-      string (_nests_shallowly) is not given to orjson;
+    - a document _bids_shaped refuses, as it may nest deeply, is not given to orjson;
     - orjson refuses what json reads as extensions or raises on: NaN and
       Infinity literals, numbers past the float range, lone surrogates,
       bytes that are not UTF-8, a BOM.
@@ -126,7 +118,7 @@ def _orjson_reading(path: str) -> object:
             raw = fh.read()
     except OSError as exc:
         raise _unreadable(path, exc) from None
-    if not _nests_shallowly(raw):
+    if not _bids_shaped(raw):
         raise _ReadingsDiffer
     import orjson  # here, so the sweeps and fits that import this module do not load it
 

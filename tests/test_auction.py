@@ -16,7 +16,6 @@ from edgeauction import (
     NetworkEffectParams,
     RosterColumns,
     bidder_utility,
-    clear_roster,
     ex_ante_valuation,
     generate_instance,
     network_effect,
@@ -456,6 +455,11 @@ class TestRunAuction:
             oracle_topk([p.bid for p in roster], _config())
         with pytest.raises(ValueError, match="overflow"):
             vcg_payment(2, roster, (0, 1, 2), _config())
+        overflow = "bids overflow: their sum is not finite"
+        with pytest.raises(ValueError, match=overflow):
+            oracle_exhaustive(roster, _config())
+        with pytest.raises(ValueError, match=overflow):
+            welfare_of_set([1.7e308, 1.7e308], _config())
 
     @pytest.mark.parametrize(
         "bids, nu, winners, welfare",
@@ -542,12 +546,15 @@ class TestRunAuction:
 
     def test_rejects_the_first_non_unit_demand_in_submission_order(self):
         with pytest.raises(ValueError) as info:
-            clear_roster([5, 0, 9], [1.0, 2.0, 0.5], [1.0, 1.0, 1.0], _config())
+            run_auction(RosterColumns([5, 0, 9], [1.0] * 3, [1.0, 2.0, 0.5], [1.0] * 3), _config())
         assert str(info.value) == "bidder 0 demands 2.0 units; the auction requires unit demands"
 
     def test_rejects_columns_of_different_lengths(self):
-        with pytest.raises(ValueError, match="same length, got 2, 2 and 3"):
-            clear_roster([0, 1], [1.0, 1.0], [1.0, 2.0, 3.0], _config())
+        with pytest.raises(ValueError) as info:
+            RosterColumns([0, 1], [1.0], [1.0, 1.0], [1.0, 2.0])
+        assert str(info.value) == (
+            "ids, tx_sizes, demands and bids must have the same length, got 2, 1, 2 and 2"
+        )
 
     def test_rejects_duplicate_ids(self):
         roster = [
@@ -557,7 +564,7 @@ class TestRunAuction:
         ]
         clears = (
             run_auction,
-            lambda r, config: clear_roster([p.id for p in r], [1.0] * 3, [1.0] * 3, config),
+            lambda r, config: run_auction(RosterColumns([p.id for p in r], *[[1.0] * 3] * 3), config),
             oracle_exhaustive,
             lambda r, config: vcg_payment(4, r, (4,), config),
         )

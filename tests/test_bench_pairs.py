@@ -60,3 +60,33 @@ def test_a_worse_median_is_outside_the_bound_and_a_wide_spread_unresolved():
 def test_the_machine_block_records_the_versions_the_runs_depend_on():
     assert _load().machine() == {"nproc": os.cpu_count(), "python": platform.python_version(),
                                  "numpy": np.__version__, "orjson": orjson.__version__}
+
+
+def test_a_tier1_run_is_read_from_pytests_stdout_with_its_slowest_tests():
+    stdout = """\
+........F.......                                                         [100%]
+=================================== FAILURES ===================================
+___________________ test_criterion_7 ___________________
+E       assert False
+============================= slowest 5 durations ==============================
+20.57s call     tests/test_acceptance.py::test_criterion_3_truthful_bidding_maximizes_utility
+4.23s call     tests/test_acceptance.py::test_criterion_4_winners_keep_winning_under_bid_raises
+2.42s setup    tests/test_auction.py::TestBatchKernel::test_rows[1-2.5]
+1.92s call     tests/test_experiments.py::test_run_sweeps_writes_the_same_files
+0.80s teardown tests/test_cli.py::TestAuctionRun::test_outcome_file_bytes
+=========================== short test summary info ============================
+FAILED tests/test_acceptance.py::test_criterion_7 - assert False
+1 failed, 428 passed, 2 errors in 53.49s
+"""
+    assert _load().tier1_result(stdout) == {
+        "passed": 428, "failed": 3, "seconds": 53.49,
+        "slowest": [
+            {"test": "tests/test_acceptance.py::test_criterion_3_truthful_bidding_maximizes_utility",
+             "seconds": 20.57},
+            {"test": "tests/test_acceptance.py::test_criterion_4_winners_keep_winning_under_bid_raises",
+             "seconds": 4.23},
+            {"test": "tests/test_auction.py::TestBatchKernel::test_rows[1-2.5]", "seconds": 2.42},
+            {"test": "tests/test_experiments.py::test_run_sweeps_writes_the_same_files", "seconds": 1.92},
+            {"test": "tests/test_cli.py::TestAuctionRun::test_outcome_file_bytes", "seconds": 0.8},
+        ],
+    }

@@ -16,7 +16,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from edgeauction import cli
-from edgeauction.auction import AuctionConfig, AuctionOutcome, clear_roster, run_auction
+from edgeauction.auction import AuctionConfig, AuctionOutcome, RosterColumns, run_auction
 from edgeauction.cli import main
 
 GOOD_CONFIG = {
@@ -343,8 +343,8 @@ class TestAuctionRun:
         import orjson
 
         _, network, market = cli._build_parts(GOOD_CONFIG, 3)
-        outcome = clear_roster((4, 9, 2), (1.0, 1.0, 1.0), (5.0, 3.0, 4.0),
-                               AuctionConfig(market=market, network=network))
+        outcome = run_auction(RosterColumns((4, 9, 2), (1.0,) * 3, (1.0,) * 3, (5.0, 3.0, 4.0)),
+                              AuctionConfig(market=market, network=network))
         int_lists = {f.name for f in fields(outcome)
                      if isinstance(getattr(outcome, f.name), tuple)
                      and all(type(v) is int for v in getattr(outcome, f.name))}
@@ -503,31 +503,45 @@ class TestAuctionRun:
             " while decoding a JSON array from a unicode string\n"
         )
 
-    @pytest.mark.parametrize("document, shallow", [
+    @pytest.mark.parametrize("document, shaped", [
         (b"[]", True),
         (b'[{"id": 0, "note": "x"}, {"id": 1}]', True),
-        (b"[" * 16 + b"]" * 16, True),
-        (b"[{" * 16 + b"}]" * 16, True),
-        (b"[" * 17 + b"]" * 17, False),
-        (b"[{" * 17 + b"}]" * 17, False),
+        (b'[""]', True),
+        # escapes are read: an escaped quote or backslash closes no string
+        (b'[{"id": 0, "note": "a \\"quoted\\" word\\n", "path": "C:\\\\"}]', True),
+        (b'[{"id": 0, "note": "\\""}]', True),
+        (b"[[]]", False),
+        (b"[" * 16 + b"]" * 16, False),
+        (b"[{" * 16 + b"}]" * 16, False),
         (b"{" + b'"a":{' * 40 + b"}" * 41, False),
         (b"[" * 10 + b"]" * 9, False),
-        # a string that holds a bracket, and any escape, are not read
+        (b'[{"id": 0, "deep": [1]}]', False),
+        # a string that holds a bracket is not read
         (b'["]"]', False),
-        (b'["\\n"]', False),
+        (b'["\\"]"]', False),
+        (b'[{"id": 0, "note": "\\"}{\\""}]', False),
         # 40 levels deep, though all its brackets, the strings' ones counted, nest 1 deep
         (b'["]",' * 40 + b"0" + b',"["]' * 40, False),
-        # the quote-pair count: strings that hold a bracket, empty and adjacent
-        # strings, an odd number of quotes, quotes alone
-        (b'["[", "]"]', False),
-        (b'[""]', True),
-        (b'["a""b"]', True),
-        (b'["a", "b]', False),
+        # objects 40 deep whose strings' brackets make every bracket a bids file's
+        (b'[' + b'{"s":"}","o":' * 40 + b"{}" + b',"t":"{"}' * 40 + b"]", False),
         (b'"""', False),
-        (b'"' * 6, True),
+        (b"0", False),
     ])
-    def test_nesting_read_from_the_bytes(self, document, shallow):
-        assert cli._nests_shallowly(document) is shallow
+    def test_bids_shape_read_from_the_bytes(self, document, shaped):
+        assert cli._bids_shaped(document) is shaped
+
+    def test_a_bids_file_whose_strings_hold_escapes_clears_without_json(
+        self, tmp_path, config_path, monkeypatch, capsys
+    ):
+        bids = tmp_path / "bids.json"
+        bids.write_text(json.dumps([
+            {"id": i, "tx_size": 1.0, "demand": 1.0, "bid": 0.5 + i, "note": 'a "café"'} for i in range(3)
+        ]))
+        assert r'"note": "a \"caf\u00e9\""' in bids.read_text()
+        _refuse_json_on(monkeypatch, bids)
+        assert main(["auction", "run", "--bids", str(bids),
+                     "--config", str(config_path), "--out", str(tmp_path / "o.json")]) == 0
+        assert capsys.readouterr().out.startswith("cleared 3 bids: ")
 
     @pytest.mark.parametrize("id_of", [int, str], ids=["int_ids", "string_ids"])
     def test_a_good_bids_file_clears_without_json(self, tmp_path, config_path, monkeypatch, capsys, id_of):
