@@ -524,6 +524,11 @@ class TestAuctionRun:
         (b'["]",' * 40 + b"0" + b',"["]' * 40, False),
         # objects 40 deep whose strings' brackets make every bracket a bids file's
         (b'[' + b'{"s":"}","o":' * 40 + b"{}" + b',"t":"{"}' * 40 + b"]", False),
+        # the quote-pair count: strings that hold a bracket, adjacent strings,
+        # an odd number of quotes
+        (b'["[", "]"]', False),
+        (b'["a""b"]', True),
+        (b'["a", "b]', False),
         (b'"""', False),
         (b"0", False),
     ])
