@@ -24,8 +24,8 @@ run was correct, in how many pairs the change was better, and the bound
 check of each metric. --claim adds the gain rule: the change better in at
 least nine of every ten pairs, and the difference of the medians larger
 than the parent's interquartile range. --tier1 N adds N alternating runs of
-the Tier-1 suite in each tree, with pytest's own time and its five slowest
-tests.
+the Tier-1 suite in each tree, in the same order as the pairs, with
+pytest's own time and its five slowest tests.
 """
 
 from __future__ import annotations
@@ -66,6 +66,11 @@ def _export(rev: str, into: Path) -> Path:
         tar.extractall(into, filter="data")
     archive.unlink()
     return into
+
+
+def side_order(i: int) -> tuple[str, ...]:
+    """The sides of pair i in the order they run: the parent first when i is even."""
+    return SIDES if i % 2 == 0 else SIDES[::-1]
 
 
 def _run_benchmark(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -208,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
             seeds = [args.first_seed + 100 * (k + 1) + i + 1 for i in range(PAIRS)]
             runs: dict[str, list[dict]] = {side: [] for side in SIDES}
             for i, seed in enumerate(seeds):
-                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                for side in side_order(i):
                     runs[side].append(_run_benchmark(trees[side], workload, seed, seconds))
                     value = runs[side][-1]["metrics"]["op_ms_p50_norm"]["value"]
                     print(f"{workload} seed {seed} {side}: op_ms_p50_norm {value:.2f}", file=sys.stderr)
@@ -223,12 +228,13 @@ def main(argv: list[str] | None = None) -> int:
                                **claim(result["end_to_end"][workload], metric)}
         if args.tier1:
             tier1: dict = {side: [] for side in SIDES}
-            for _ in range(args.tier1):
-                for side in SIDES:
+            for i in range(args.tier1):
+                for side in side_order(i):
                     tier1[side].append(_run_tier1(trees[side]))
                     print(f"tier1 {side}: {tier1[side][-1]}", file=sys.stderr)
             result["tier1"] = {**tier1, "protocol": f"{TIER1_COMMAND[2:]} with PYTHONPATH=src, "
-                               "pytest's own time, alternating, parent first"}
+                               "pytest's own time, the parent first on even-numbered runs and "
+                               "the change first on odd ones"}
 
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {args.out}")

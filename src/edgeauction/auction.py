@@ -224,10 +224,10 @@ _PRUNE_CELLS = 1 << 15
 
 def _cells(lines: tuple, bids: np.ndarray) -> np.ndarray:
     """(P, W, T): each of a row's W lines (at - b) * slope - charge at each of its T bids b."""
-    at, slope, charge = (x[:, :, None] for x in lines)
-    block = at - bids[:, None, :]
-    block *= slope
-    block -= charge
+    at, slope, charge = lines
+    block = at[:, :, None] - bids[:, None, :]
+    block *= slope[:, :, None]
+    block -= charge[:, :, None]
     return block
 
 
@@ -286,7 +286,9 @@ def _counterfactual_welfare(cleared: _Clearing, config: AuctionConfig) -> np.nda
 
     The winners ranked above the window's first column are its bulk rows,
     about 95 % of the winners of a sweep: each of their cells is the line
-    L_k(b) = w(k)/k (prefix[k + 1] - b) - c k at the row's own bid. A
+    L_k(b) = w(k)/k (prefix[k + 1] - b) - c k at the row's own bid. _cells
+    is the one expression of that line: row 0, the cells at both ends of
+    the bulk bids (at b_0 a gather from row 0) and every block. A
     computed cell lies within a few ulps of the scale of the cells (the
     largest w(k)/k prefix[k + 1] + c k) of its exact line, far inside one
     margin: 64 ulps of that scale plus 4 subnormals. Where a column d
@@ -312,14 +314,11 @@ def _counterfactual_welfare(cleared: _Clearing, config: AuctionConfig) -> np.nda
     index = np.arange(rows)[:, None]
 
     # Row 0 has no column k <= 0: every one of its cells drops the highest bid.
-    pre = prefix[:, 2 : limit2 + 2]
-    cost_by_k = cost * np.arange(1, limit2 + 1)
-    row0 = pre - bids[:, :1]
-    row0 *= coef[:limit2]
-    row0 -= cost_by_k
+    pre, charge = prefix[:, 2 : limit2 + 2], cost * np.arange(1, limit2 + 1)
+    row0 = _cells((pre, coef[None, :limit2], charge[None]), bids[:, :1])[:, :, 0]
     floor = row0.max(axis=1, initial=0.0)
     scale = pre * coef[:limit2]
-    scale += cost_by_k
+    scale += charge
     scale = scale.max(axis=1, initial=0.0)
     margin = _BOUND_MARGIN * scale + _SUBNORMAL_MARGIN
     kept = welfare_by_k[:, :limit2] >= (floor - margin)[:, None]
@@ -338,8 +337,7 @@ def _counterfactual_welfare(cleared: _Clearing, config: AuctionConfig) -> np.nda
         top = np.where(found, np.minimum(m, lo), m)
         # The cells at both ends of the bulk bids; a column is beaten where
         # the column that leads at either end leads it by _LEAD margins at both.
-        at, slope, charge = lines
-        ends = [(at - b) * slope - charge for b in (bids[:, :1], bids[index, top[:, None] - 1])]
+        ends = [row0[index, cols - 1], _cells(lines, bids[index, top[:, None] - 1])[:, :, 0]]
         lead = _LEAD * margin[:, None]
         beaten = np.zeros(cols.shape, dtype=bool)
         for d in (end.argmax(axis=1)[:, None] for end in ends):
@@ -447,11 +445,11 @@ def _clear_rows(
     Row r's winners are cleared.order[r, :cleared.m[r]], in admission
     order, and paid[r, i] is the payment of its bidder at position i, losers
     paying +0.0. A row shorter than the widest ends in -inf bids, none of
-    which wins, so each is paid +0.0 as well. Every step runs once for all rows, save the welfare
-    check's sum of each row's winner bids and the scalar curve w(m - 1)
-    that prices each row's other winners. Raises _RowFailure for the first
-    row that fails the welfare check or refuses a payment, the welfare
-    check first within a row.
+    which wins, so each is paid +0.0 as well. Every step runs once for all
+    rows, save two _welfare calls per row: the welfare check of the sum of
+    its winner bids, and the welfare of its others without each winner.
+    Raises _RowFailure for the first row that fails the welfare check or
+    refuses a payment, the welfare check first within a row.
     """
     cleared = _clear(values, config)
     m = cleared.m
@@ -462,36 +460,33 @@ def _clear_rows(
     cost = config.market.unit_cost
     tolerance = _tolerance(cleared.coef[m - 1] * cleared.prefix[index, m] + cost * m)
 
-    failure = None
-    welfare = [0.0] * rows
-    shares = np.zeros(rows)  # w(m - 1) / (m - 1) of each row, its other winners' share
-    for r, (k, allowed) in enumerate(zip(m.tolist(), tolerance.tolist())):
-        if not k:
-            continue
-        welfare[r] = selected = float(cleared.welfare_by_k[r, k - 1])
-        check = _welfare(k, sum(cleared.sorted_bids[r, :k].tolist()), config)
-        if failure is None and abs(check - selected) > allowed:
-            failure = r, f"welfare mismatch: {selected!r} against {check!r}"
-        if k > 1:
-            shares[r] = (1.0 / (k - 1)) * network_effect(float(k - 1), config.network)
-
-    # Each winner's counterfactual, less the welfare of its others as a set
-    # of their own; the ranks past a row's winners are masked out.
-    s_prime = _counterfactual_welfare(cleared, config)
+    welfare, checks = [0.0] * rows, [0.0] * rows
+    # The bids of each winner's others: the row's winner bids less its own.
     total = cleared.prefix[index, m][:, None] - cleared.sorted_bids[:, :most]
-    others = shares[:, None] * total - (cost * (m - 1))[:, None]
+    others = np.zeros((rows, most))
+    mismatch = np.zeros(rows, dtype=bool)
+    for r, (k, allowed) in enumerate(zip(m.tolist(), tolerance.tolist())):
+        if k:
+            welfare[r] = selected = float(cleared.welfare_by_k[r, k - 1])
+            checks[r] = check = _welfare(k, sum(cleared.sorted_bids[r, :k].tolist()), config)
+            mismatch[r] = abs(check - selected) > allowed
+            others[r] = _welfare(k - 1, total[r], config)
+
+    # Each winner's counterfactual, less the welfare of its others; the
+    # ranks past a row's winners are masked out.
+    s_prime = _counterfactual_welfare(cleared, config)
     payments = s_prime - others
     magnitude = np.abs(s_prime) + np.abs(others)
     inside = np.arange(most) < m[:, None]
-    refused = np.flatnonzero((inside & (payments < -_tolerance(magnitude))).any(axis=1))
-    if refused.size and (failure is None or refused[0] < failure[0]):
-        r = int(refused[0])
-        failure = r, _refusal(payments[r, : m[r]])
-    if failure is not None:
-        r = failure[0]
+    refused = (inside & (payments < -_tolerance(magnitude))).any(axis=1)
+    failed = np.flatnonzero(mismatch | refused)
+    if failed.size:
+        r = int(failed[0])
+        reason = _refusal(payments[r, : m[r]])
+        if mismatch[r]:
+            reason = f"welfare mismatch: {welfare[r]!r} against {checks[r]!r}"
         raise _RowFailure(
-            f"internal consistency failure: {failure[1]} {_instance(values[r], int(m[r]), config)}",
-            r,
+            f"internal consistency failure: {reason} {_instance(values[r], int(m[r]), config)}", r
         )
     # Payments within rounding residue below zero clamp to 0, as _clamp_payment does.
     by_rank = np.where(inside & (payments >= 0.0), payments, 0.0)

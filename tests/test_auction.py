@@ -818,6 +818,37 @@ class TestBatchKernel:
         cleared = _rows_cleared_together(_MIXED_ROWS, market)
         assert [w.size for _, w, _ in cleared] == winners
 
+    @pytest.mark.parametrize("refused, named, reason", [
+        ({2, 5}, 2, "is negative beyond tolerance"),  # a refusal before a later mismatch
+        ({4}, 4, "welfare mismatch"),                 # a row that fails both
+        ({5}, 4, "welfare mismatch"),                 # a mismatch before a later refusal
+    ])
+    def test_the_first_row_that_fails_either_check_is_named(
+        self, monkeypatch, refused, named, reason
+    ):
+        # Rows 4 and 5 of the mixed batch have 6 winners, and no row has 7, so
+        # doubling the welfare of 6 winners fails their welfare check alone; a
+        # counterfactual of -1 refuses every payment of the rows it is given to.
+        config = _MIXED_MARKETS[0]
+        assert _MIXED_WINNERS[0] == [0, 8, 1, 8, 6, 6]
+        original_welfare = auction._welfare
+        original_counterfactual = auction._counterfactual_welfare
+
+        def doubled_at_six(k, total, c):
+            return (2.0 if k == 6 else 1.0) * original_welfare(k, total, c)
+
+        def broken(cleared, c):
+            values = original_counterfactual(cleared, c)
+            values[sorted(refused)] = -1.0
+            return values
+
+        monkeypatch.setattr(auction, "_welfare", doubled_at_six)
+        monkeypatch.setattr(auction, "_counterfactual_welfare", broken)
+        with pytest.raises(auction._RowFailure, match=reason) as exc:
+            auction._clear_rows(_padded(_MIXED_ROWS), config)
+        assert exc.value.row == named
+        assert f"(n=8, m={_MIXED_WINNERS[0][named]}, capacity=8, " in str(exc.value)
+
     @pytest.mark.parametrize("cell_budget", [1, 7])
     def test_blocks_of_a_batch_under_a_tiny_budget_change_no_bit(self, cell_budget):
         # every block of cells then holds one or a few rows' cells, of one

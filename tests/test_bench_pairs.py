@@ -90,3 +90,10 @@ FAILED tests/test_acceptance.py::test_criterion_7 - assert False
             {"test": "tests/test_cli.py::TestAuctionRun::test_outcome_file_bytes", "seconds": 0.8},
         ],
     }
+
+
+def test_the_sides_alternate_which_runs_first_from_pair_to_pair():
+    bench = _load()
+    assert [bench.side_order(i) for i in range(4)] == [
+        ("parent", "change"), ("change", "parent"), ("parent", "change"), ("change", "parent"),
+    ]
