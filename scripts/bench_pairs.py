@@ -25,7 +25,12 @@ check of each metric. --claim adds the gain rule: the change better in at
 least nine of every ten pairs, and the difference of the medians larger
 than the parent's interquartile range. --tier1 N adds N alternating runs of
 the Tier-1 suite in each tree, in the same order as the pairs, with
-pytest's own time and its five slowest tests.
+pytest's own time and its five slowest tests. Each Tier-1 run also records
+the CPU seconds of pytest and the processes it waited for
+(getrusage(RUSAGE_CHILDREN) before and after), perfbench's control loop
+timed for CONTROL_MS just before and just after it, and pytest's time in
+control units: its seconds on a machine where one control loop takes
+CONTROL_REFERENCE_MS, as perfbench reports its _norm metrics.
 """
 
 from __future__ import annotations
@@ -36,10 +41,12 @@ import json
 import os
 import platform
 import re
+import resource
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +56,8 @@ SIDES = ("parent", "change")
 PAIRS = 10
 TIER1_COMMAND = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                  "--continue-on-collection-errors", "--durations=5"]
+CONTROL_MS = 2000.0
+CONTROL_REFERENCE_MS = 25.0
 
 
 def _git(*args: str) -> str:
@@ -95,9 +104,46 @@ def tier1_result(stdout: str) -> dict:
             "slowest": [{"test": test, "seconds": float(s)} for s, test in slowest]}
 
 
+def control_loop_ms(at_least_ms: float) -> float:
+    """Mean time of perfbench's control loop, a fixed pure-Python and numpy loop,
+    repeated for at least `at_least_ms` (once at minimum)."""
+    start = time.perf_counter()
+    repeats = 0
+    while True:
+        acc = 0
+        for i in range(200_000):
+            acc += i * i % 7
+        np.sort(np.random.default_rng(0).random(200_000))
+        repeats += 1
+        elapsed = (time.perf_counter() - start) * 1e3
+        if elapsed >= at_least_ms:
+            return elapsed / repeats
+
+
+def _children_cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def framed_run(command: list[str], **kwargs) -> tuple[str, float, list[float]]:
+    """A child's stdout, its CPU seconds, and the control loop's ms just before and just after it."""
+    before, cpu = control_loop_ms(CONTROL_MS), _children_cpu_s()
+    stdout = subprocess.run(command, capture_output=True, text=True, **kwargs).stdout
+    cpu, after = _children_cpu_s() - cpu, control_loop_ms(CONTROL_MS)
+    return stdout, cpu, [before, after]
+
+
+def tier1_framed(result: dict, cpu_seconds: float, control_ms: list[float]) -> dict:
+    """A Tier-1 result with its CPU seconds, its control loops and pytest's seconds in control units."""
+    seconds = result["seconds"]
+    norm = None if seconds is None else seconds * CONTROL_REFERENCE_MS / (sum(control_ms) / len(control_ms))
+    return {**result, "cpu_seconds": cpu_seconds, "control_ms": control_ms, "seconds_norm": norm}
+
+
 def _run_tier1(tree: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    return tier1_result(subprocess.run(TIER1_COMMAND, cwd=tree, env=env, capture_output=True, text=True).stdout)
+    stdout, cpu_seconds, control_ms = framed_run(TIER1_COMMAND, cwd=tree, env=env)
+    return tier1_framed(tier1_result(stdout), cpu_seconds, control_ms)
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -234,7 +280,10 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"tier1 {side}: {tier1[side][-1]}", file=sys.stderr)
             result["tier1"] = {**tier1, "protocol": f"{TIER1_COMMAND[2:]} with PYTHONPATH=src, "
                                "pytest's own time, the parent first on even-numbered runs and "
-                               "the change first on odd ones"}
+                               "the change first on odd ones; cpu_seconds from getrusage(RUSAGE_CHILDREN) "
+                               f"before and after, control_ms the control loop for {CONTROL_MS:g} ms "
+                               "just before and just after, seconds_norm pytest's seconds at "
+                               f"{CONTROL_REFERENCE_MS:g} ms per control loop"}
 
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {args.out}")

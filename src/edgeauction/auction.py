@@ -110,15 +110,25 @@ def _validate_bids(bids: Sequence[float] | np.ndarray) -> np.ndarray:
     return values
 
 
-def _welfare(k: int, total: float | np.ndarray, config: AuctionConfig) -> float | np.ndarray:
-    """Welfare of k winners whose bids sum to total; 0.0 for k = 0.
+def _welfare(
+    k: int | np.ndarray,
+    total: float | np.ndarray,
+    config: AuctionConfig,
+    share: np.ndarray | None = None,
+) -> float | np.ndarray:
+    """Welfare of k winners whose bids sum to total >= 0; 0.0 for k = 0.
 
-    total may be an array of such sums, all for the same k.
+    total may be an array of such sums, all for the same k. k may be an
+    int array instead, broadcast against total, with share the (1.0/k) w(k)
+    of _curve: each element is then the scalar call's value to the bit.
     """
-    if k == 0:
-        return 0.0
-    w = network_effect(float(k), config.network)
-    return (1.0 / k) * w * total - config.market.unit_cost * k
+    if share is None:
+        if k == 0:
+            return 0.0
+        share = (1.0 / k) * network_effect(float(k), config.network)
+    else:
+        share = share[k]
+    return share * total - config.market.unit_cost * k
 
 
 def welfare_of_set(bids_in_w: Iterable[float], config: AuctionConfig) -> float:
@@ -142,20 +152,29 @@ class _Clearing(NamedTuple):
     order: np.ndarray         # (R, n): positions into each row, highest bid first
     sorted_bids: np.ndarray   # (R, n): each row's bids in that order
     prefix: np.ndarray        # (R, n + 1): prefix[r, k] sums row r's k highest bids
-    coef: np.ndarray          # w(k) / k for k = 1..min(n, capacity)
-    welfare_by_k: np.ndarray  # (R, len(coef)): welfare of each row's top-k prefix
+    coef: np.ndarray          # w(k) / k for k = 0..min(n, capacity), 0 at k = 0
+    share: np.ndarray         # (1.0 / k) w(k) for k = 0..min(n, capacity), 0 at k = 0
+    welfare_by_k: np.ndarray  # (R, len(coef)): welfare of each row's top-k prefix, 0 at k = 0
     m: np.ndarray             # (R,): winner counts, each the first k of largest welfare
 
 
 # A sweep clears at most ten roster sizes under one curve, so all of them stay cached.
 @functools.lru_cache(maxsize=16)
-def _curve(limit: int, network: NetworkEffectParams) -> tuple[np.ndarray, np.ndarray]:
-    """k = 1..limit as floats and w(k)/k, read-only because every clearing shares them."""
-    kk = np.arange(1, limit + 1, dtype=float)
-    coef = network_effect(kk, network) / kk
-    kk.flags.writeable = False
-    coef.flags.writeable = False
-    return kk, coef
+def _curve(limit: int, network: NetworkEffectParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k = 0..limit as floats, w(k)/k and _welfare's share (1.0/k) w(k), each indexed by k.
+
+    Both quotients are 0 at k = 0, the empty set; the share is the scalar
+    product, in its order. All three are read-only, because every clearing
+    shares them.
+    """
+    kk = np.arange(limit + 1, dtype=float)
+    w = network_effect(kk[1:], network)
+    coef, share = np.zeros(limit + 1), np.zeros(limit + 1)
+    np.divide(w, kk[1:], out=coef[1:])
+    np.multiply(1.0 / kk[1:], w, out=share[1:])
+    for curve in (kk, coef, share):
+        curve.flags.writeable = False
+    return kk, coef, share
 
 
 def _along_rows(values: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -189,16 +208,16 @@ def _clear(values: np.ndarray, config: AuctionConfig) -> _Clearing:
     if not (prefix[:, -1] < np.inf).all():
         raise ValueError("bids overflow: their sum is not finite")
     limit = min(n, config.market.capacity)
-    kk, coef = _curve(limit, config.network)
-    # In place: a temporary of another shape than coef's is not reused.
-    welfare_by_k = prefix[:, 1 : limit + 1] * coef
+    kk, coef, share = _curve(limit, config.network)
+    # In place: a temporary of another shape than coef's is not reused. At
+    # k = 0, the empty set, 0.0 * 0.0 - c * 0.0 is 0.0.
+    welfare_by_k = prefix[:, : limit + 1] * coef
     welfare_by_k -= config.market.unit_cost * kk
-    # Ties go to the smaller k; k = 0 is the empty set, of welfare 0.
-    m = np.zeros(rows, dtype=int)
-    if limit:
-        best = welfare_by_k.argmax(axis=1)
-        m = np.where(welfare_by_k[np.arange(rows), best] > 0.0, best + 1, 0)
-    return _Clearing(order, sorted_bids, prefix, coef, welfare_by_k, m)
+    # Ties go to the smaller k, so with no positive welfare k = 0, the
+    # empty set; so does a NaN welfare, which argmax picks first.
+    best = welfare_by_k.argmax(axis=1)
+    m = np.where(welfare_by_k[np.arange(rows), best] > 0.0, best, 0)
+    return _Clearing(order, sorted_bids, prefix, coef, share, welfare_by_k, m)
 
 
 @np.errstate(over="ignore")  # see _clear
@@ -315,21 +334,22 @@ def _counterfactual_welfare(cleared: _Clearing, config: AuctionConfig) -> np.nda
 
     # Row 0 has no column k <= 0: every one of its cells drops the highest bid.
     pre, charge = prefix[:, 2 : limit2 + 2], cost * np.arange(1, limit2 + 1)
-    row0 = _cells((pre, coef[None, :limit2], charge[None]), bids[:, :1])[:, :, 0]
+    slopes = coef[1 : limit2 + 1]
+    row0 = _cells((pre, slopes[None], charge[None]), bids[:, :1])[:, :, 0]
     floor = row0.max(axis=1, initial=0.0)
-    scale = pre * coef[:limit2]
+    scale = pre * slopes
     scale += charge
     scale = scale.max(axis=1, initial=0.0)
     margin = _BOUND_MARGIN * scale + _SUBNORMAL_MARGIN
-    kept = welfare_by_k[:, :limit2] >= (floor - margin)[:, None]
+    kept = welfare_by_k[:, 1 : limit2 + 1] >= (floor - margin)[:, None]
     lo = kept.argmax(axis=1) + 1
     found = kept[index[:, 0], lo - 1]
     # A row with no kept column has no positive cell: it reads column 1
     # alone, as bulk rows, and its values are set to 0.
     hi = np.where(found, limit2 - kept[:, ::-1].argmax(axis=1), 1)
     cols = np.minimum(lo[:, None] + np.arange(int((hi - lo).max()) + 1), hi[:, None])
-    lines = (prefix[index, cols + 1], coef[cols - 1], cost * cols)
-    values = welfare_by_k[index, cols - 1]
+    lines = (prefix[index, cols + 1], coef[cols], cost * cols)
+    values = welfare_by_k[index, cols]
 
     survivors = cols.shape[1]
     if int(m.sum()) * survivors >= _PRUNE_CELLS:
@@ -446,8 +466,9 @@ def _clear_rows(
     order, and paid[r, i] is the payment of its bidder at position i, losers
     paying +0.0. A row shorter than the widest ends in -inf bids, none of
     which wins, so each is paid +0.0 as well. Every step runs once for all
-    rows, save two _welfare calls per row: the welfare check of the sum of
-    its winner bids, and the welfare of its others without each winner.
+    rows, _welfare as well: one call on the array of winner counts checks
+    each row's welfare against the sum of its winner bids, and one on the
+    block of winner counts less one prices each winner's others.
     Raises _RowFailure for the first row that fails the welfare check or
     refuses a payment, the welfare check first within a row.
     """
@@ -458,33 +479,31 @@ def _clear_rows(
         return [0.0] * rows, cleared, np.zeros(values.shape)
     index = np.arange(rows)
     cost = config.market.unit_cost
-    tolerance = _tolerance(cleared.coef[m - 1] * cleared.prefix[index, m] + cost * m)
+    winning = cleared.prefix[index, m]
+    tolerance = _tolerance(cleared.coef[m] * winning + cost * m)
+    welfare = cleared.welfare_by_k[index, m]
+    inside = np.arange(most) < m[:, None]
+    bids = cleared.sorted_bids[:, :most]
 
-    welfare, checks = [0.0] * rows, [0.0] * rows
-    # The bids of each winner's others: the row's winner bids less its own.
-    total = cleared.prefix[index, m][:, None] - cleared.sorted_bids[:, :most]
-    others = np.zeros((rows, most))
-    mismatch = np.zeros(rows, dtype=bool)
-    for r, (k, allowed) in enumerate(zip(m.tolist(), tolerance.tolist())):
-        if k:
-            welfare[r] = selected = float(cleared.welfare_by_k[r, k - 1])
-            checks[r] = check = _welfare(k, sum(cleared.sorted_bids[r, :k].tolist()), config)
-            mismatch[r] = abs(check - selected) > allowed
-            others[r] = _welfare(k - 1, total[r], config)
+    # The check sums each row's winner bids apart from prefix, which the
+    # selected welfare is computed from.
+    check = _welfare(m, bids.sum(axis=1, where=inside), config, cleared.share)
+    mismatch = abs(check - welfare) > tolerance
+    # The welfare of each winner's others, whose bids are the row's winner
+    # bids less its own; the ranks past a row's winners are masked out below.
+    others = _welfare(m[:, None] - 1, winning[:, None] - bids, config, cleared.share)
 
-    # Each winner's counterfactual, less the welfare of its others; the
-    # ranks past a row's winners are masked out.
+    # Each winner's counterfactual, less the welfare of its others.
     s_prime = _counterfactual_welfare(cleared, config)
     payments = s_prime - others
     magnitude = np.abs(s_prime) + np.abs(others)
-    inside = np.arange(most) < m[:, None]
     refused = (inside & (payments < -_tolerance(magnitude))).any(axis=1)
-    failed = np.flatnonzero(mismatch | refused)
+    failed = (mismatch | refused).nonzero()[0]
     if failed.size:
         r = int(failed[0])
         reason = _refusal(payments[r, : m[r]])
         if mismatch[r]:
-            reason = f"welfare mismatch: {welfare[r]!r} against {checks[r]!r}"
+            reason = f"welfare mismatch: {float(welfare[r])!r} against {float(check[r])!r}"
         raise _RowFailure(
             f"internal consistency failure: {reason} {_instance(values[r], int(m[r]), config)}", r
         )
@@ -493,7 +512,7 @@ def _clear_rows(
     # Each rank goes to its bidder; the ranks past a row's winners are losers.
     paid = np.zeros(values.shape)
     paid[index[:, None], cleared.order[:, :most]] = by_rank
-    return welfare, cleared, paid
+    return welfare.tolist(), cleared, paid
 
 
 def clear_bids(bids: np.ndarray, config: AuctionConfig) -> tuple[float, np.ndarray, np.ndarray]:

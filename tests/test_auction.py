@@ -363,7 +363,7 @@ class TestRunAuction:
             far_peaks += any(not m - 4 <= m2 <= m + 3 for m2 in counts)
             # welfare falls somewhere before its peak
             welfare_by_k = _clear(np.asarray(bids)[None], config).welfare_by_k[0]
-            dips += bool(np.any(np.diff(welfare_by_k[:m], prepend=0.0) <= 0.0))
+            dips += bool(np.any(np.diff(welfare_by_k[: m + 1]) <= 0.0))
         assert winners > 0 or family == "tied_and_zero"
         if family in ("whale", "two_level_whales", "s_shaped_hard"):
             assert far_peaks > 0
@@ -595,7 +595,7 @@ class TestClearBids:
     @pytest.mark.parametrize("name, broken, reason", [
         # the consistency check evaluates the set welfare through _welfare; the
         # kernel computes its prefix welfare on its own
-        ("_welfare", lambda original: lambda k, total, c: 2.0 * original(k, total, c),
+        ("_welfare", lambda original: lambda k, total, c, *share: 2.0 * original(k, total, c, *share),
          "welfare mismatch"),
         # a counterfactual below the other winners' welfare prices every winner below 0
         ("_counterfactual_welfare",
@@ -637,12 +637,37 @@ class TestClearBids:
     def test_cached_curve_is_read_only(self):
         # every clearing of the same size and curve shares these arrays
         config = _config(capacity=3)
-        kk, coef = auction._curve(3, config.network)
-        assert _clear(np.array([[3.0, 2.0, 1.0]]), config).coef is coef
-        for shared in (kk, coef):
+        kk, coef, share = auction._curve(3, config.network)
+        cleared = _clear(np.array([[3.0, 2.0, 1.0]]), config)
+        assert cleared.coef is coef and cleared.share is share
+        for shared in (kk, coef, share):
             with pytest.raises(ValueError, match="read-only"):
                 shared[0] = 0.0
-        assert kk.tolist() == [1.0, 2.0, 3.0]
+        # indexed by k, with 0 at k = 0, the empty set
+        assert kk.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert coef[0] == 0.0 and share[0] == 0.0 and not np.signbit([coef[0], share[0]]).any()
+        assert cleared.welfare_by_k[:, 0].tobytes() == np.zeros(1).tobytes()
+
+    @pytest.mark.parametrize("mu", [0.5, 10.0])
+    @pytest.mark.parametrize("unit_cost", [0.0, 0.02])
+    def test_welfare_of_an_array_of_k_is_each_scalar_call_to_the_bit(self, mu, unit_cost):
+        # every k of the curve, 0 included, against sums of bids >= 0, zero
+        # included, both as one sum per k and broadcast against a block of sums
+        limit = 64
+        config = _config(unit_cost, limit, NetworkEffectParams(mu, 0.05))
+        share = auction._curve(limit, config.network)[2]
+        k = np.arange(limit + 1)
+        totals = np.random.default_rng(3).exponential(3.0, (limit + 1, 4)) * k[:, None]
+        totals[:, 0] = 0.0
+        expected = np.array([
+            [auction._welfare(int(i), float(t), config) for t in row]
+            for i, row in zip(k, totals)
+        ])
+        got = auction._welfare(k[:, None], totals, config, share)
+        assert got.tobytes() == expected.tobytes()
+        for j in range(totals.shape[1]):
+            assert auction._welfare(k, totals[:, j], config, share).tobytes() == expected[:, j].tobytes()
+        assert not np.signbit(got[0]).any()
 
     @pytest.mark.parametrize(
         "n, bonus, unit_cost, mu",
@@ -774,6 +799,10 @@ class TestBatchKernel:
     @settings(max_examples=300, deadline=None)
     def test_each_row_clears_as_the_literal_loop_and_as_itself_alone(self, batch):
         _assert_each_row_clears_as_itself(*batch)
+        # and with every batch pricing its bulk rows from the columns that can
+        # lead, as the sweeps' batches do, however few cells it has
+        with mock.patch.object(auction, "_PRUNE_CELLS", 0):
+            _assert_each_row_clears_as_itself(*batch)
 
     @given(_batches(ragged=True))
     @example(([[0.3, 0.9, 0.1], _MIXED_ROWS[5] * 4, [1.0], _MIXED_ROWS[2]], _MIXED_MARKETS[2]))
@@ -834,8 +863,8 @@ class TestBatchKernel:
         original_welfare = auction._welfare
         original_counterfactual = auction._counterfactual_welfare
 
-        def doubled_at_six(k, total, c):
-            return (2.0 if k == 6 else 1.0) * original_welfare(k, total, c)
+        def doubled_at_six(k, total, c, *share):
+            return np.where(k == 6, 2.0, 1.0) * original_welfare(k, total, c, *share)
 
         def broken(cleared, c):
             values = original_counterfactual(cleared, c)
@@ -848,6 +877,27 @@ class TestBatchKernel:
             auction._clear_rows(_padded(_MIXED_ROWS), config)
         assert exc.value.row == named
         assert f"(n=8, m={_MIXED_WINNERS[0][named]}, capacity=8, " in str(exc.value)
+
+    def test_the_welfare_check_sums_the_winner_bids_apart_from_prefix(self, monkeypatch):
+        # Row 3 of the mixed batch has 8 winners. Its prefix sums, raised by
+        # half, and its prefix welfare recomputed from them agree with each
+        # other; only a sum of the winner bids that does not read prefix
+        # tells them from the bids.
+        config = _MIXED_MARKETS[0]
+        assert _MIXED_WINNERS[0][3] == 8
+        original_clear = auction._clear
+
+        def corrupted(values, c):
+            cleared = original_clear(values, c)
+            cleared.prefix[3] *= 1.5
+            k = np.arange(cleared.coef.size)
+            cleared.welfare_by_k[3] = cleared.prefix[3, k] * cleared.coef - c.market.unit_cost * k
+            return cleared
+
+        monkeypatch.setattr(auction, "_clear", corrupted)
+        with pytest.raises(auction._RowFailure, match="welfare mismatch") as exc:
+            auction._clear_rows(_padded(_MIXED_ROWS), config)
+        assert exc.value.row == 3
 
     @pytest.mark.parametrize("cell_budget", [1, 7])
     def test_blocks_of_a_batch_under_a_tiny_budget_change_no_bit(self, cell_budget):

@@ -3,6 +3,7 @@
 import importlib.util
 import os
 import platform
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -97,3 +98,24 @@ def test_the_sides_alternate_which_runs_first_from_pair_to_pair():
     assert [bench.side_order(i) for i in range(4)] == [
         ("parent", "change"), ("change", "parent"), ("parent", "change"), ("change", "parent"),
     ]
+
+
+def test_a_tier1_run_records_its_cpu_seconds_its_control_loops_and_its_seconds_in_control_units():
+    bench = _load()
+    result = {"passed": 438, "failed": 1, "seconds": 40.0, "slowest": []}
+    assert bench.tier1_framed(result, 38.5, [20.0, 30.0]) == {
+        **result, "cpu_seconds": 38.5, "control_ms": [20.0, 30.0], "seconds_norm": 40.0,
+    }
+    assert bench.tier1_framed(result, 38.5, [40.0, 60.0])["seconds_norm"] == 20.0
+    assert bench.tier1_framed({**result, "seconds": None}, 1.0, [25.0, 25.0])["seconds_norm"] is None
+
+
+def test_a_framed_run_counts_the_childs_cpu_and_runs_the_control_loop_on_either_side(monkeypatch):
+    bench = _load()
+    monkeypatch.setattr(bench, "CONTROL_MS", 0.0)  # one loop on each side
+    stdout, cpu_seconds, control_ms = bench.framed_run(
+        [sys.executable, "-c", "print(sum(i * i for i in range(1_000_000)))"]
+    )
+    assert stdout == f"{sum(i * i for i in range(1_000_000))}\n"
+    assert cpu_seconds > 0.0
+    assert len(control_ms) == 2 and min(control_ms) > 0.0

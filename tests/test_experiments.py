@@ -301,7 +301,9 @@ class TestRunSweep:
         # the consistency check evaluates the set welfare through _welfare; the
         # kernel computes its prefix welfare on its own
         original = auction._welfare
-        monkeypatch.setattr(auction, "_welfare", lambda k, total, c: 2.0 * original(k, total, c))
+        monkeypatch.setattr(
+            auction, "_welfare", lambda k, total, c, *share: 2.0 * original(k, total, c, *share)
+        )
         seed = stable_instance_seed(3, 0.007, 0)
         with pytest.raises(RuntimeError, match="welfare mismatch") as exc:
             run_sweep(spec)
