@@ -106,7 +106,11 @@ def tier1_result(stdout: str) -> dict:
 
 def control_loop_ms(at_least_ms: float) -> float:
     """Mean time of perfbench's control loop, a fixed pure-Python and numpy loop,
-    repeated for at least `at_least_ms` (once at minimum)."""
+    repeated for at least `at_least_ms` (once at minimum).
+
+    A copy of perfbench/run.py's: importing that module pins the BLAS thread
+    variables of this process, which the Tier-1 runs would inherit.
+    """
     start = time.perf_counter()
     repeats = 0
     while True:
