@@ -38,6 +38,7 @@ from .model import (
     MarketConfig,
     NetworkEffectParams,
     _hash_weights,
+    _sum,
     _unheld_powers,
     network_effect,
 )
@@ -137,7 +138,7 @@ def welfare_of_set(bids_in_w: Iterable[float], config: AuctionConfig) -> float:
     Returns exactly 0.0 for the empty set.
     """
     values = _validate_bids(list(bids_in_w)).tolist()
-    if not (total := sum(values)) < math.inf:
+    if not (total := _sum(values)) < math.inf:
         raise ValueError("bids overflow: their sum is not finite")
     return _welfare(len(values), total, config)
 
@@ -299,7 +300,9 @@ def _counterfactual_welfare(cleared: _Clearing, config: AuctionConfig) -> np.nda
     reaches R_0, row 0's maximum floored at 0, less a margin; only those
     columns K are read, widened to the window from the least to the
     largest of them, since every column up to min(n - 1, capacity) is a
-    cell of the re-run. The cell at column k is w(k)/k times prefix[k] for
+    cell of the re-run. A row with no kept column (not found) reads column
+    1 alone: its floor is 0, so rank 0's cell there is <= 0 and later ranks
+    hold S(1) < 0. The cell at column k is w(k)/k times prefix[k] for
     k <= t, where the top k bids are kept, or prefix[k + 1] - b_t for
     k > t, less c k; for k <= t that is S(k) to the bit.
 
@@ -344,8 +347,6 @@ def _counterfactual_welfare(cleared: _Clearing, config: AuctionConfig) -> np.nda
     kept = welfare_by_k[:, 1 : limit2 + 1] >= (floor - margin)[:, None]
     lo = kept.argmax(axis=1) + 1
     found = kept[index[:, 0], lo - 1]
-    # A row with no kept column has no positive cell: it reads column 1
-    # alone, as bulk rows, and its values are set to 0.
     hi = np.where(found, limit2 - kept[:, ::-1].argmax(axis=1), 1)
     cols = np.minimum(lo[:, None] + np.arange(int((hi - lo).max()) + 1), hi[:, None])
     lines = (prefix[index, cols + 1], coef[cols], cost * cols)
@@ -354,7 +355,7 @@ def _counterfactual_welfare(cleared: _Clearing, config: AuctionConfig) -> np.nda
     survivors = cols.shape[1]
     if int(m.sum()) * survivors >= _PRUNE_CELLS:
         # The bulk rows: ranks below every column of the window.
-        top = np.where(found, np.minimum(m, lo), m)
+        top = np.minimum(m, lo)
         # The cells at both ends of the bulk bids; a column is beaten where
         # the column that leads at either end leads it by _LEAD margins at both.
         ends = [row0[index, cols - 1], _cells(lines, bids[index, top[:, None] - 1])[:, :, 0]]
@@ -381,7 +382,7 @@ def _counterfactual_welfare(cleared: _Clearing, config: AuctionConfig) -> np.nda
             ranks = np.minimum(ranks, m[:, None] - 1)
             rest = _cell_max(bids[index, ranks], lines, (cols, ranks, values))
             out[np.nonzero(inside)[0], ranks[inside]] = rest[inside]
-    return np.where((out > 0.0) & found[:, None], out, 0.0)
+    return np.where(out > 0.0, out, 0.0)
 
 
 def _roster_ids(ids: Iterable[int]) -> tuple[int, ...]:
@@ -413,27 +414,26 @@ def vcg_payment(
         raise ValueError(f"bidder {winner_id} is not a winner")
     s_prime = oracle_topk([p.bid for p in roster if p.id != winner_id], config)[1]
     others = welfare_of_set([by_id[i] for i in winners if i != winner_id], config)
-    return float(_clamp_payment(s_prime - others, abs(s_prime) + abs(others)))
+    return _clamp_payment(s_prime - others, abs(s_prime) + abs(others))
 
 
 def _tolerance(magnitude):
     return _RELATIVE_TOLERANCE * np.maximum(1.0, magnitude)
 
 
-def _clamp_payment(p, magnitude=1.0):
-    """Clamp payments within rounding residue below zero to zero; refuse the rest.
+def _clamp_payment(p: float, magnitude: float = 1.0) -> float:
+    """Clamp a payment within rounding residue below zero to zero; refuse the rest.
 
     The residue allowed scales with the magnitude of the terms the payment
-    is the difference of, floored at 1. Works elementwise on arrays.
+    is the difference of, floored at 1.
     """
-    p = np.asarray(p, dtype=float)
-    if np.any(p < -_tolerance(magnitude)):
+    if p < -_tolerance(magnitude):
         raise RuntimeError(f"internal consistency failure: {_refusal(p)}")
-    return np.where(p < 0.0, 0.0, p)
+    return 0.0 if p < 0.0 else p
 
 
-def _refusal(p: np.ndarray) -> str:
-    return f"payment {float(p.min())} is negative beyond tolerance"
+def _refusal(p: float) -> str:
+    return f"payment {float(p)} is negative beyond tolerance"
 
 
 def _instance(values: np.ndarray, m: int, config: AuctionConfig) -> str:
@@ -501,7 +501,7 @@ def _clear_rows(
     failed = (mismatch | refused).nonzero()[0]
     if failed.size:
         r = int(failed[0])
-        reason = _refusal(payments[r, : m[r]])
+        reason = _refusal(payments[r, : m[r]].min())
         if mismatch[r]:
             reason = f"welfare mismatch: {float(welfare[r])!r} against {float(check[r])!r}"
         raise _RowFailure(

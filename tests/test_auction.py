@@ -33,6 +33,7 @@ from edgeauction.experiments import _truthful_bids
 from conftest import (
     DEFAULT_BLOCKCHAIN,
     DEFAULT_NETWORK,
+    compensated_sum,
     sample_default_instance,
     sample_varied_instance,
 )
@@ -243,6 +244,15 @@ class TestFrozenExamples:
             0.0031742132880560048, abs=1e-15
         )
 
+    def test_welfare_of_a_set_sums_its_bids_left_to_right(self, monkeypatch):
+        # CPython 3.12 and later compensate the builtin sum of floats, which
+        # reads 1e16 + 1 + 1 as 1.0000000000000002e16
+        monkeypatch.setattr(auction, "sum", compensated_sum, raising=False)
+        config = _config()
+        assert welfare_of_set([1e16, 1.0, 1.0], config) == auction._welfare(
+            3, (1e16 + 1.0) + 1.0, config
+        )
+
     def test_selection_takes_the_prefix_of_largest_welfare(self):
         # the top-k prefixes have welfare 0.0133, 0.0199 and 0.0032, so the
         # argmax picks k = 2 (0.0199 > 0.0133 > 0.0032)
@@ -358,6 +368,9 @@ class TestRunAuction:
             payments, welfare, m, counts = _reference_clearing(roster, config)
             assert outcome.payments == payments
             assert outcome.welfare == welfare
+            # and with the bulk rows priced from the columns that can lead
+            with mock.patch.object(auction, "_PRUNE_CELLS", 0):
+                assert run_auction(roster, config) == outcome
             winners += m
             # some counterfactual peaks well away from the winner count
             far_peaks += any(not m - 4 <= m2 <= m + 3 for m2 in counts)
@@ -379,6 +392,9 @@ class TestRunAuction:
         payments, welfare, _, _ = _reference_clearing(roster, config)
         assert outcome.payments == payments
         assert outcome.welfare == welfare
+        # and with the bulk rows priced from the columns that can lead
+        with mock.patch.object(auction, "_PRUNE_CELLS", 0):
+            assert run_auction(roster, config) == outcome
         # every payment +0.0 or positive and finite, as the outcome writer needs
         paid = np.array(outcome.payments)
         assert np.isfinite(paid).all() and not np.signbit(paid).any()
@@ -410,6 +426,28 @@ class TestRunAuction:
         payments, welfare, _, _ = _reference_clearing(roster, config)
         assert outcome.payments == payments
         assert outcome.welfare == welfare
+
+    def test_bids_of_a_few_thousand_subnormals_equal_the_literal_loop(self):
+        # Down there rounding is absolute, up to a subnormal or so per cell,
+        # and 64 ulps of the cells' scale is below the smallest subnormal:
+        # only the subnormal part of the margin keeps the bulk rows from
+        # dropping a column that another leads by a rounding.
+        rng = np.random.default_rng(324)
+        winners = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 40))
+            bids = (rng.integers(0, 2000, n) * 5e-324).tolist()
+            roster = [BidderProfile(id=i, tx_size=0.0, demand=1.0, bid=b) for i, b in enumerate(bids)]
+            network = NetworkEffectParams(10.0 ** rng.uniform(-1.3, 1.2), 10.0 ** rng.uniform(-2, 0.5))
+            config = _config(unit_cost=int(rng.integers(0, 4)) * 5e-324, capacity=n, network=network)
+            payments, welfare, m, _ = _reference_clearing(roster, config)
+            winners += m
+            for prune_cells in (auction._PRUNE_CELLS, 0):
+                with mock.patch.object(auction, "_PRUNE_CELLS", prune_cells):
+                    outcome = run_auction(roster, config)
+                assert outcome.payments == payments
+                assert outcome.welfare == welfare
+        assert winners > 0
 
     def test_pricing_blocks_past_the_first_equal_the_literal_loop(self):
         # Without the 1e4 bid every prefix of 1.0 bids gains welfare, so every
@@ -796,6 +834,10 @@ class TestBatchKernel:
     @example((_MIXED_ROWS, _MIXED_MARKETS[1]))
     @example((_MIXED_ROWS, _MIXED_MARKETS[2]))
     @example((_MIXED_ROWS, _MIXED_MARKETS[3]))
+    # every bid of both rows wins, and the second row's non-bulk winners run
+    # deeper than the first's: the first row's extra ranks clip to its last winner
+    @example(([[1.0, 1.0, 0.0, 0.0, 1.0], [0.3, 1.5, 5.2, 0.4, 0.4]],
+              _config(unit_cost=5e-4, capacity=5, network=NetworkEffectParams(7.0, 0.5))))
     @settings(max_examples=300, deadline=None)
     def test_each_row_clears_as_the_literal_loop_and_as_itself_alone(self, batch):
         _assert_each_row_clears_as_itself(*batch)
@@ -810,6 +852,8 @@ class TestBatchKernel:
     @settings(max_examples=300, deadline=None)
     def test_rows_of_different_lengths_clear_as_themselves(self, batch):
         _assert_each_row_clears_as_itself(*batch)
+        with mock.patch.object(auction, "_PRUNE_CELLS", 0):
+            _assert_each_row_clears_as_itself(*batch)
 
     @pytest.mark.parametrize("short_overflows", [True, False])
     def test_a_sum_past_the_float_range_is_refused_beside_a_shorter_row(self, short_overflows):
@@ -961,6 +1005,7 @@ class TestWorstCaseRosters:
 class TestPayments:
     def test_clamp_accepts_rounding_residue(self):
         assert _clamp_payment(-5e-10) == 0.0
+        assert _clamp_payment(-1e-9) == 0.0  # at the tolerance itself
         assert _clamp_payment(0.0) == 0.0
         assert _clamp_payment(1.5) == 1.5
         assert _clamp_payment(-0.5, 1e9) == 0.0

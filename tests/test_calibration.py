@@ -187,6 +187,12 @@ class TestLoader:
         with pytest.raises(ValueError, match=r"samples\.csv:3"):
             load_samples(path)
 
+    def test_rejects_row_with_fewer_than_three_fields(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_text("varied_demand,observed_gamma,competitor_1\n40,0.3\n")
+        with pytest.raises(ValueError, match=r"samples\.csv:2: expected at least three fields"):
+            load_samples(path)
+
     def test_rejects_row_without_competitors(self, tmp_path):
         path = tmp_path / "samples.csv"
         path.write_text(

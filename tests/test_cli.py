@@ -390,6 +390,8 @@ class TestAuctionRun:
              f"{{path}}: entry {k} is not an object")
             for k, bad in enumerate(["x", 3, None, True, [1, 2]])
         ),
+        # a document that is not an array at all
+        ({}, "{path}: expected a JSON array of bidder objects"),
     ])
     def test_roster_error_precedence(self, tmp_path, config_path, capsys, entries, message):
         path = tmp_path / "bids.json"
@@ -621,6 +623,21 @@ class TestAuctionRun:
         assert err.startswith("error: ") and "capacity must be" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("document, message", [
+        (None, "cannot read {path}: No such file or directory"),
+        ("[1, 2]", "{path}: config must be a flat JSON object"),
+    ], ids=["unreadable", "not_an_object"])
+    def test_config_that_is_unreadable_or_not_an_object(
+        self, tmp_path, bids_path, capsys, document, message
+    ):
+        path = tmp_path / "config.json"
+        if document is not None:
+            path.write_text(document)
+        code = main(["auction", "run", "--bids", str(bids_path),
+                     "--config", str(path), "--out", str(tmp_path / "o.json")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+
     def test_missing_config_key(self, tmp_path, bids_path, capsys):
         # missing keys are listed in config order, whatever order they go in
         broken = {k: v for k, v in GOOD_CONFIG.items() if k not in ("num_users", "mu", "fixed_bonus")}
@@ -818,19 +835,23 @@ class TestExperimentSweep:
         assert code == 1
         assert "integers" in capsys.readouterr().err
 
-    def test_bad_grid_is_rejected(self, tmp_path, config_path, capsys):
+    @pytest.mark.parametrize("grid, message", [
+        ("0.1,zz", "grid must be a comma-separated list of numbers, got '0.1,zz'"),
+        (",", "grid is empty"),
+    ], ids=["not_a_number", "empty"])
+    def test_bad_grid_is_rejected(self, tmp_path, config_path, capsys, grid, message):
         code = main([
             "experiment", "sweep",
             "--param", "fee-rate",
             "--config", str(config_path),
-            "--grid", "0.1,zz",
+            "--grid", grid,
             "--instances", "1",
             "--seed", "1",
             "--out", str(tmp_path / "s.csv"),
             "--format", "csv",
         ])
         assert code == 1
-        assert "grid" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_decreasing_grid_is_rejected(self, tmp_path, config_path, capsys):
         code = main([

@@ -99,6 +99,10 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             default_sweep_spec("propagation_coeff")
 
+    def test_grid_must_be_non_empty(self):
+        with pytest.raises(ValueError, match="grid must be non-empty"):
+            default_sweep_spec("fee_rate", grid=[])
+
     def test_grid_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
             default_sweep_spec("fee_rate", grid=(0.2, 0.1))
@@ -152,6 +156,14 @@ class TestRunSweep:
         )
         defaults.update(kwargs)
         return default_sweep_spec("fee_rate", grid=(0.004, 0.007, 0.01), **defaults)
+
+    def test_every_grid_value_of_a_batch_has_its_bids_checked(self):
+        # the first grid value's bids are finite, the second's pass the float
+        # range: that one is refused for its bids, not as an overflowing sum
+        spec = default_sweep_spec("fee_rate", grid=(0.007, 1e306), instances_per_point=1, num_users=20)
+        spec = replace(spec, blockchain=replace(DEFAULT_BLOCKCHAIN, fixed_bonus=1e305))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="bids must be finite and >= 0"):
+            run_sweep(spec)
 
     def test_shapes_and_ordering(self):
         spec = self._small_spec()

@@ -74,6 +74,12 @@ class TestFrozenValues:
             1, profiles, [1, 1], DEFAULT_BLOCKCHAIN, DEFAULT_NETWORK, 1.2
         )
 
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_ex_post_valuation_refuses_an_index_out_of_range(self, index):
+        profiles = [BidderProfile(id=i, tx_size=500.0, demand=1.0, bid=1.0) for i in range(2)]
+        with pytest.raises(ValueError, match="bidder_index out of range"):
+            ex_post_valuation(index, profiles, [1, 1], DEFAULT_BLOCKCHAIN, DEFAULT_NETWORK, 1.2)
+
 
 class TestValidation:
     def test_blockchain_params_reject_bad_values(self):
