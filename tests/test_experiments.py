@@ -160,10 +160,12 @@ class TestRunSweep:
     def test_every_grid_value_of_a_batch_has_its_bids_checked(self):
         # the first grid value's bids are finite, the second's pass the float
         # range: that one is refused for its bids, not as an overflowing sum
-        spec = default_sweep_spec("fee_rate", grid=(0.007, 1e306), instances_per_point=1, num_users=20)
+        spec = default_sweep_spec("fee_rate", grid=(0.007, 1e306), instances_per_point=1,
+                                  num_users=20)
         spec = replace(spec, blockchain=replace(DEFAULT_BLOCKCHAIN, fixed_bonus=1e305))
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="bids must be finite and >= 0"):
-            run_sweep(spec)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="bids must be finite and >= 0"):
+                run_sweep(spec)
 
     def test_shapes_and_ordering(self):
         spec = self._small_spec()
